@@ -15,7 +15,6 @@
 #include "controller/event_codec.hpp"
 #include "netlog/netlog.hpp"
 #include "netsim/flow_table.hpp"
-#include "openflow/codec.hpp"
 #include "openflow/wire10.hpp"
 
 namespace {
@@ -43,32 +42,6 @@ of::PacketIn sample_packet_in(std::uint64_t i) {
   return pin;
 }
 
-void BM_CodecEncodeFlowMod(benchmark::State& state) {
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(of::encode({0, sample_flow_mod(i++)}));
-  }
-}
-BENCHMARK(BM_CodecEncodeFlowMod);
-
-void BM_CodecDecodeFlowMod(benchmark::State& state) {
-  const auto bytes = of::encode({0, sample_flow_mod(1)});
-  for (auto _ : state) {
-    auto msg = of::decode(bytes);
-    benchmark::DoNotOptimize(msg);
-  }
-}
-BENCHMARK(BM_CodecDecodeFlowMod);
-
-void BM_CodecRoundTripPacketIn(benchmark::State& state) {
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    auto msg = of::decode(of::encode({0, sample_packet_in(i++)}));
-    benchmark::DoNotOptimize(msg);
-  }
-}
-BENCHMARK(BM_CodecRoundTripPacketIn);
-
 void BM_Wire10EncodeFlowMod(benchmark::State& state) {
   std::uint64_t i = 0;
   for (auto _ : state) {
@@ -91,7 +64,8 @@ BENCHMARK(BM_Wire10RoundTripPacketIn);
 void BM_EventCodecRoundTrip(benchmark::State& state) {
   std::uint64_t i = 0;
   for (auto _ : state) {
-    auto ev = ctl::decode_event(ctl::encode_event(ctl::Event{sample_packet_in(i++)}));
+    auto ev =
+        ctl::decode_event(ctl::encode_event(ctl::Event{sample_packet_in(i++)}).value());
     benchmark::DoNotOptimize(ev);
   }
 }
@@ -99,7 +73,7 @@ BENCHMARK(BM_EventCodecRoundTrip);
 
 void BM_RpcFrameRoundTrip(benchmark::State& state) {
   appvisor::RpcFrame frame{appvisor::RpcType::kDeliverEvent, 7,
-                           ctl::encode_event(ctl::Event{sample_packet_in(3)})};
+                           ctl::encode_event(ctl::Event{sample_packet_in(3)}).value()};
   for (auto _ : state) {
     auto f = appvisor::decode_frame(appvisor::encode_frame(frame));
     benchmark::DoNotOptimize(f);

@@ -29,6 +29,10 @@
 #                them with scripts/check_bench.py against the committed
 #                BENCH_*.json baselines (order-of-magnitude floor on
 #                headline speedups).
+#   perf-smoke   the repository benchmark's self-test (perfbench/selftest.py):
+#                every BENCHMARK.json workload runs for a second and must
+#                print its metric contract and pass its correctness gate; a
+#                --break-gate run must fail it.
 #   fuzz-smoke   run the differential scenario fuzzer over a reduced seed
 #                batch (LEGOSDN_FUZZ_SCRIPTS, default 20): every generated
 #                churn script must converge identically under LegoSDN-with-
@@ -106,6 +110,10 @@ cmd_bench_smoke() {
   python3 scripts/check_bench.py bench-out --baseline-dir .
 }
 
+cmd_perf_smoke() {
+  python3 perfbench/selftest.py
+}
+
 cmd_fuzz_smoke() {
   local dir="build"
   [ -d build-ci ] && dir="build-ci"
@@ -130,6 +138,7 @@ case "${1:-all}" in
   tsan)         cmd_tsan ;;
   socket-tests) cmd_socket_tests ;;
   bench-smoke)  cmd_bench_smoke ;;
+  perf-smoke)   cmd_perf_smoke ;;
   fuzz-smoke)   cmd_fuzz_smoke ;;
   format)       cmd_format ;;
   all)
@@ -139,7 +148,7 @@ case "${1:-all}" in
     fi
     ;;
   *)
-    echo "unknown command: $1 (expected build|asan|tsan|socket-tests|bench-smoke|fuzz-smoke|format)" >&2
+    echo "unknown command: $1 (expected build|asan|tsan|socket-tests|bench-smoke|perf-smoke|fuzz-smoke|format)" >&2
     exit 2
     ;;
 esac

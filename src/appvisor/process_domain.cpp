@@ -114,7 +114,14 @@ void run_stub(ctl::App& app, std::uint16_t proxy_port,
                           encode_frame({RpcType::kCrashNotice, req.seq, payload}));
           _exit(134); // mimic SIGABRT's exit status
         }
-        reply({RpcType::kEventDone, req.seq, encode_event_done(done)});
+        auto payload = encode_event_done(done);
+        if (!payload) {
+          // A message past the OF 1.0 frame limit cannot reach a switch
+          // either: drop the whole bundle and say so, as a southbound
+          // drops an unsendable frame.
+          payload = encode_event_done({done.disposition, {}, /*bundle_dropped=*/true});
+        }
+        reply({RpcType::kEventDone, req.seq, std::move(payload).value()});
         break;
       }
       case RpcType::kSnapshotRequest: {
@@ -339,9 +346,17 @@ long ProcessDomain::ms_since_heartbeat() const {
 
 EventOutcome ProcessDomain::deliver(const ctl::Event& event, SimTime now) {
   EventOutcome out;
-  DeliverEventPayload payload{raw(now), event};
-  auto reply = call(RpcType::kDeliverEvent, encode_deliver(payload),
-                    RpcType::kEventDone, cfg_.deliver_timeout_ms);
+  auto payload = encode_deliver({raw(now), event});
+  if (!payload) {
+    // The event cannot be framed (a stats reply past the OF 1.0 frame
+    // limit): the app never sees it, exactly as over a switch connection.
+    tstats_.unframeable += 1;
+    LEGOSDN_LOG_WARN("appvisor", "event for '%s' not delivered: %s",
+                     app_->name().c_str(), payload.error().to_string().c_str());
+    return out;
+  }
+  auto reply = call(RpcType::kDeliverEvent, payload.value(), RpcType::kEventDone,
+                    cfg_.deliver_timeout_ms);
   if (!reply) {
     out.kind = reply.error().code == Error::Code::kTimeout
                    ? EventOutcome::Kind::kTimeout
@@ -355,6 +370,11 @@ EventOutcome ProcessDomain::deliver(const ctl::Event& event, SimTime now) {
     out.kind = EventOutcome::Kind::kCrashed;
     out.crash_info = "malformed event-done: " + done.error().message;
     return out;
+  }
+  if (done.value().bundle_dropped) {
+    tstats_.unframeable += 1;
+    LEGOSDN_LOG_WARN("appvisor", "'%s' emitted an unframeable message; bundle dropped",
+                     app_->name().c_str());
   }
   out.disposition = done.value().disposition;
   out.emitted = std::move(done.value().emitted);

@@ -1,5 +1,7 @@
 #include "appvisor/rpc.hpp"
 
+#include "openflow/wire10.hpp"
+
 namespace legosdn::appvisor {
 
 std::vector<std::uint8_t> encode_frame(const RpcFrame& f) {
@@ -42,23 +44,37 @@ Result<RegisterPayload> decode_register(std::span<const std::uint8_t> bytes) {
   return p;
 }
 
-std::vector<std::uint8_t> encode_event_done(const EventDonePayload& p) {
+namespace {
+constexpr std::uint8_t kDoneStop = 1;
+constexpr std::uint8_t kDoneBundleDropped = 2;
+} // namespace
+
+Result<std::vector<std::uint8_t>> encode_event_done(const EventDonePayload& p) {
   ByteWriter w;
-  w.u8(p.disposition == ctl::Disposition::kStop ? 1 : 0);
+  w.u8(static_cast<std::uint8_t>(
+      (p.disposition == ctl::Disposition::kStop ? kDoneStop : 0) |
+      (p.bundle_dropped ? kDoneBundleDropped : 0)));
   w.u32(static_cast<std::uint32_t>(p.emitted.size()));
-  for (const auto& m : p.emitted) w.blob(of::encode(m));
+  for (const auto& m : p.emitted) {
+    auto frame = of::wire10::encode_scoped(m);
+    if (!frame) return frame.error();
+    w.blob(frame.value());
+  }
   return std::move(w).take();
 }
 
 Result<EventDonePayload> decode_event_done(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   EventDonePayload p;
-  p.disposition = r.u8() ? ctl::Disposition::kStop : ctl::Disposition::kContinue;
+  const std::uint8_t flags = r.u8();
+  p.disposition =
+      (flags & kDoneStop) ? ctl::Disposition::kStop : ctl::Disposition::kContinue;
+  p.bundle_dropped = (flags & kDoneBundleDropped) != 0;
   const std::uint32_t n = r.u32();
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
     auto frame = r.blob();
     if (r.error()) break;
-    auto msg = of::decode(frame);
+    auto msg = of::wire10::decode_scoped(frame);
     if (!msg) return msg.error();
     p.emitted.push_back(std::move(msg).value());
   }
@@ -66,10 +82,10 @@ Result<EventDonePayload> decode_event_done(std::span<const std::uint8_t> bytes) 
   return p;
 }
 
-std::vector<std::uint8_t> encode_deliver(const DeliverEventPayload& p) {
+Result<std::vector<std::uint8_t>> encode_deliver(const DeliverEventPayload& p) {
   ByteWriter w;
   w.u64(static_cast<std::uint64_t>(p.now_ns));
-  ctl::encode_event(p.event, w);
+  if (auto st = ctl::encode_event(p.event, w); !st) return st.error();
   return std::move(w).take();
 }
 

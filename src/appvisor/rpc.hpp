@@ -16,7 +16,6 @@
 #include "common/result.hpp"
 #include "controller/app.hpp"
 #include "controller/event_codec.hpp"
-#include "openflow/codec.hpp"
 
 namespace legosdn::appvisor {
 
@@ -54,18 +53,23 @@ struct RegisterPayload {
 std::vector<std::uint8_t> encode_register(const RegisterPayload& p);
 Result<RegisterPayload> decode_register(std::span<const std::uint8_t> bytes);
 
+// Emitted messages ride as scoped OF 1.0 frames (wire10.hpp). Encoding fails
+// when one exceeds the 16-bit frame length.
+
 struct EventDonePayload {
   ctl::Disposition disposition = ctl::Disposition::kContinue;
   std::vector<of::Message> emitted;
+  /// The stub could not frame the app's bundle and sent none of it.
+  bool bundle_dropped = false;
 };
-std::vector<std::uint8_t> encode_event_done(const EventDonePayload& p);
+Result<std::vector<std::uint8_t>> encode_event_done(const EventDonePayload& p);
 Result<EventDonePayload> decode_event_done(std::span<const std::uint8_t> bytes);
 
 struct DeliverEventPayload {
   std::int64_t now_ns = 0;
   ctl::Event event;
 };
-std::vector<std::uint8_t> encode_deliver(const DeliverEventPayload& p);
+Result<std::vector<std::uint8_t>> encode_deliver(const DeliverEventPayload& p);
 Result<DeliverEventPayload> decode_deliver(std::span<const std::uint8_t> bytes);
 
 } // namespace legosdn::appvisor

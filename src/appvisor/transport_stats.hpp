@@ -42,6 +42,7 @@ struct TransportStats {
   std::uint64_t retransmits = 0;        ///< request frames re-sent after a silent attempt
   std::uint64_t flakes_recovered = 0;   ///< calls that succeeded after >=1 retransmit
   std::uint64_t rpc_timeouts = 0;       ///< calls that exhausted the overall deadline
+  std::uint64_t unframeable = 0;        ///< events/bundles past the OF 1.0 frame limit
   LatencyHistogram rtt_us;              ///< request send -> matching reply
 
   TransportStats& operator+=(const TransportStats& o) {
@@ -50,6 +51,7 @@ struct TransportStats {
     retransmits += o.retransmits;
     flakes_recovered += o.flakes_recovered;
     rpc_timeouts += o.rpc_timeouts;
+    unframeable += o.unframeable;
     rtt_us.merge(o.rtt_us);
     return *this;
   }

@@ -1,12 +1,12 @@
 #include "controller/event_codec.hpp"
 
-#include "openflow/codec.hpp"
+#include "openflow/wire10.hpp"
 
 namespace legosdn::ctl {
 namespace {
 
-// The OpenFlow alternatives ride on the of:: codec by wrapping them in an
-// of::Message frame; controller-synthesized events get their own tags.
+// The OpenFlow alternatives ride as scoped OF 1.0 frames; controller-
+// synthesized events get their own tags.
 enum class Tag : std::uint8_t {
   kOfMessage = 0,
   kSwitchUp = 1,
@@ -14,19 +14,25 @@ enum class Tag : std::uint8_t {
   kLinkDown = 3,
 };
 
+Status put_frame(const of::Message& msg, ByteWriter& w) {
+  auto bytes = of::wire10::encode_scoped(msg);
+  if (!bytes) return bytes.error();
+  w.blob(bytes.value());
+  return Status::success();
+}
+
 } // namespace
 
-void encode_event(const Event& e, ByteWriter& w) {
+Status encode_event(const Event& e, ByteWriter& w) {
   if (const auto* up = std::get_if<SwitchUp>(&e)) {
     w.u8(static_cast<std::uint8_t>(Tag::kSwitchUp));
     w.u64(raw(up->dpid));
-    w.blob(of::encode({0, up->features}));
-    return;
+    return put_frame({0, up->features}, w);
   }
   if (const auto* down = std::get_if<SwitchDown>(&e)) {
     w.u8(static_cast<std::uint8_t>(Tag::kSwitchDown));
     w.u64(raw(down->dpid));
-    return;
+    return Status::success();
   }
   if (const auto* ld = std::get_if<LinkDown>(&e)) {
     w.u8(static_cast<std::uint8_t>(Tag::kLinkDown));
@@ -34,12 +40,12 @@ void encode_event(const Event& e, ByteWriter& w) {
     w.u16(raw(ld->a.port));
     w.u64(raw(ld->b.dpid));
     w.u16(raw(ld->b.port));
-    return;
+    return Status::success();
   }
   // OpenFlow-message events.
   w.u8(static_cast<std::uint8_t>(Tag::kOfMessage));
-  std::visit(
-      [&](const auto& m) {
+  return std::visit(
+      [&](const auto& m) -> Status {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, of::PacketIn> ||
                       std::is_same_v<T, of::PortStatus> ||
@@ -47,8 +53,9 @@ void encode_event(const Event& e, ByteWriter& w) {
                       std::is_same_v<T, of::StatsReply> ||
                       std::is_same_v<T, of::BarrierReply> ||
                       std::is_same_v<T, of::OfError>) {
-          w.blob(of::encode({0, m}));
+          return put_frame({0, m}, w);
         }
+        return Status::success();
       },
       e);
 }
@@ -61,7 +68,7 @@ Result<Event> decode_event(ByteReader& r) {
       up.dpid = DatapathId{r.u64()};
       auto frame = r.blob();
       if (r.error()) return Error{Error::Code::kTruncated, "switch-up truncated"};
-      auto msg = of::decode(frame);
+      auto msg = of::wire10::decode_scoped(frame);
       if (!msg) return msg.error();
       const auto* feats = msg.value().get_if<of::FeaturesReply>();
       if (!feats) return Error{Error::Code::kParse, "switch-up without features"};
@@ -85,7 +92,7 @@ Result<Event> decode_event(ByteReader& r) {
     case Tag::kOfMessage: {
       auto frame = r.blob();
       if (r.error()) return Error{Error::Code::kTruncated, "event frame truncated"};
-      auto msg = of::decode(frame);
+      auto msg = of::wire10::decode_scoped(frame);
       if (!msg) return msg.error();
       Event out = SwitchDown{}; // placeholder; overwritten below
       bool matched = false;
@@ -112,9 +119,9 @@ Result<Event> decode_event(ByteReader& r) {
   return Error{Error::Code::kParse, "unknown event tag"};
 }
 
-std::vector<std::uint8_t> encode_event(const Event& e) {
+Result<std::vector<std::uint8_t>> encode_event(const Event& e) {
   ByteWriter w;
-  encode_event(e, w);
+  if (auto st = encode_event(e, w); !st) return st.error();
   return std::move(w).take();
 }
 

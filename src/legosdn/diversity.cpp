@@ -3,20 +3,25 @@
 #include <algorithm>
 #include <cassert>
 
-#include "openflow/codec.hpp"
+#include "openflow/wire10.hpp"
 
 namespace legosdn::lego {
 namespace {
 
-/// Canonical fingerprint of an output bundle: sorted encodings with xids
-/// zeroed, so replicas that allocate xids differently still agree.
+/// Canonical fingerprint of an output bundle: sorted scoped OF 1.0 frames
+/// with xids zeroed, so replicas that allocate xids differently still agree.
+/// An unframeable message contributes its error text (which names its type
+/// and size).
 std::string bundle_fingerprint(const std::vector<of::Message>& emitted) {
   std::vector<std::string> parts;
   parts.reserve(emitted.size());
   for (of::Message m : emitted) {
     m.xid = 0;
-    auto bytes = of::encode(m);
-    parts.emplace_back(bytes.begin(), bytes.end());
+    auto bytes = of::wire10::encode_scoped(m);
+    if (bytes)
+      parts.emplace_back(bytes.value().begin(), bytes.value().end());
+    else
+      parts.push_back(bytes.error().message);
   }
   std::sort(parts.begin(), parts.end());
   std::string out;

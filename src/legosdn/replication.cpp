@@ -2,33 +2,36 @@
 
 #include "common/log.hpp"
 #include "controller/event_codec.hpp"
-#include "openflow/codec.hpp"
+#include "openflow/wire10.hpp"
 
 namespace legosdn::lego {
 
 // --- wire codec ---
 
-void encode_record(const ReplicaRecord& r, ByteWriter& w) {
+Status encode_record(const ReplicaRecord& r, ByteWriter& w) {
   w.u8(static_cast<std::uint8_t>(r.kind));
   switch (r.kind) {
     case ReplicaRecord::Kind::kEvent:
-      ctl::encode_event(r.event, w);
-      return;
+      return ctl::encode_event(r.event, w);
     case ReplicaRecord::Kind::kTxn:
       w.u8(static_cast<std::uint8_t>(r.txn.kind));
       w.u64(raw(r.txn.txn));
       w.u32(raw(r.txn.app));
-      if (r.txn.kind == netlog::TxnRecord::Kind::kApply)
-        w.blob(of::encode(r.txn.msg));
-      return;
+      if (r.txn.kind == netlog::TxnRecord::Kind::kApply) {
+        auto frame = of::wire10::encode_scoped(r.txn.msg);
+        if (!frame) return frame.error();
+        w.blob(frame.value());
+      }
+      break;
     case ReplicaRecord::Kind::kAppState:
       w.u32(static_cast<std::uint32_t>(r.app_index));
       w.blob(r.state);
-      return;
+      break;
     case ReplicaRecord::Kind::kAppDown:
       w.u32(static_cast<std::uint32_t>(r.app_index));
-      return;
+      break;
   }
+  return Status::success();
 }
 
 Result<ReplicaRecord> decode_record(ByteReader& r) {
@@ -54,7 +57,7 @@ Result<ReplicaRecord> decode_record(ByteReader& r) {
         const auto frame = r.blob();
         if (r.error())
           return Error{Error::Code::kTruncated, "txn apply truncated"};
-        auto msg = of::decode(frame);
+        auto msg = of::wire10::decode_scoped(frame);
         if (!msg) return msg.error();
         out.txn.msg = std::move(msg).value();
       }
@@ -80,9 +83,9 @@ Result<ReplicaRecord> decode_record(ByteReader& r) {
   return Error{Error::Code::kParse, "unknown replica record kind"};
 }
 
-std::vector<std::uint8_t> encode_record(const ReplicaRecord& r) {
+Result<std::vector<std::uint8_t>> encode_record(const ReplicaRecord& r) {
   ByteWriter w;
-  encode_record(r, w);
+  if (auto st = encode_record(r, w); !st) return st.error();
   return std::move(w).take();
 }
 
@@ -153,13 +156,15 @@ void ReplicaSet::ship(const ReplicaRecord& r) {
   records_shipped_ += 1;
   if (rcfg_.encode_records) {
     const auto bytes = encode_record(r);
-    auto decoded = decode_record(bytes);
+    const auto decoded =
+        bytes ? decode_record(bytes.value()) : Result<ReplicaRecord>(bytes.error());
     if (decoded) {
       for (auto* f : followers_) f->follower_ingest(decoded.value());
       return;
     }
-    // Count the failure and fall back to the in-memory record so a codec gap
-    // degrades fidelity of the *test* (the round-trip), never of the replica.
+    // Count the failure (an unframeable record, or a codec gap) and fall
+    // back to the in-memory record so it degrades fidelity of the *test*
+    // (the round-trip), never of the replica.
     codec_failures_ += 1;
     LEGOSDN_LOG_WARN("replication", "record codec round-trip failed: %s",
                      decoded.error().to_string().c_str());

@@ -54,10 +54,11 @@ struct ReplicaRecord {
 /// socket-shipping deployment would put on the replication channel. The
 /// in-process ReplicaSet optionally round-trips every record through it
 /// (ReplicaConfig::encode_records) so the format stays honest.
-void encode_record(const ReplicaRecord& r, ByteWriter& w);
+Status encode_record(const ReplicaRecord& r, ByteWriter& w);
 Result<ReplicaRecord> decode_record(ByteReader& r);
 
-std::vector<std::uint8_t> encode_record(const ReplicaRecord& r);
+/// Fails when an OpenFlow message in the record exceeds the OF 1.0 frame.
+Result<std::vector<std::uint8_t>> encode_record(const ReplicaRecord& r);
 Result<ReplicaRecord> decode_record(std::span<const std::uint8_t> bytes);
 
 struct ReplicaConfig {

@@ -55,11 +55,8 @@ using Action = std::variant<ActionOutput, ActionSetEthSrc, ActionSetEthDst,
 
 using ActionList = std::vector<Action>;
 
-void encode_action(const Action& a, ByteWriter& w);
-Action decode_action(ByteReader& r);
-
+/// Canonical bytes for flow-table digests (not a wire format).
 void encode_actions(const ActionList& list, ByteWriter& w);
-ActionList decode_actions(ByteReader& r);
 
 std::string to_string(const Action& a);
 std::string to_string(const ActionList& list);

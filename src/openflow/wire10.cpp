@@ -1,5 +1,6 @@
 #include "openflow/wire10.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace legosdn::of::wire10 {
@@ -227,20 +228,12 @@ PortDesc get_phy_port(ByteReader& r) {
   return p;
 }
 
-/// Writes the ofp_header with a placeholder length, returns its offset.
+/// Writes the ofp_header with a placeholder length (patched by put_message).
 void put_header(ByteWriter& w, OfpType type, std::uint32_t xid) {
   w.u8(kVersion);
   w.u8(static_cast<std::uint8_t>(type));
-  w.u16(0); // patched at the end
+  w.u16(0);
   w.u32(xid);
-}
-
-std::vector<std::uint8_t> finish(ByteWriter&& w) {
-  auto out = std::move(w).take();
-  const auto len = static_cast<std::uint16_t>(out.size());
-  out[2] = static_cast<std::uint8_t>(len >> 8);
-  out[3] = static_cast<std::uint8_t>(len);
-  return out;
 }
 
 } // namespace
@@ -261,14 +254,21 @@ std::vector<std::uint8_t> synthesize_frame(const Packet& pkt) {
   w.mac(pkt.hdr.eth_src);
   w.u16(pkt.hdr.eth_type);
   if (pkt.hdr.eth_type != kEthTypeIpv4) {
-    // Non-IP frame: trace tag rides as the payload.
+    // Non-IP frame: the trace tag, then the L3/L4 fields a 1.0 match can
+    // still see (LinkDiscovery probes carry their origin there).
     w.u64(pkt.trace_tag);
+    w.u32(pkt.hdr.ip_src.addr);
+    w.u32(pkt.hdr.ip_dst.addr);
+    w.u8(pkt.hdr.ip_proto);
+    w.u16(pkt.hdr.tp_src);
+    w.u16(pkt.hdr.tp_dst);
     return std::move(w).take();
   }
   // IPv4 header (20 bytes, no options).
   const bool tcp = pkt.hdr.ip_proto == kIpProtoTcp;
   const bool udp = pkt.hdr.ip_proto == kIpProtoUdp;
-  const std::uint16_t l4 = tcp ? 20 : udp ? 16 : 8; // UDP: 8 hdr + 8 tag
+  // L4 bytes: TCP header; UDP header + tag; otherwise tag + the two ports.
+  const std::uint16_t l4 = tcp ? 20 : udp ? 16 : 12;
   ByteWriter ip(20);
   ip.u8(0x45);
   ip.u8(0); // tos
@@ -303,7 +303,9 @@ std::vector<std::uint8_t> synthesize_frame(const Packet& pkt) {
     w.u16(0);  // checksum optional in IPv4
     w.u64(pkt.trace_tag);
   } else {
-    w.u64(pkt.trace_tag); // e.g. ICMP: tag as body
+    w.u64(pkt.trace_tag); // e.g. ICMP: tag, then the ports, as body
+    w.u16(pkt.hdr.tp_src);
+    w.u16(pkt.hdr.tp_dst);
   }
   return std::move(w).take();
 }
@@ -325,6 +327,13 @@ Result<Packet> parse_frame(std::span<const std::uint8_t> data,
     pkt.hdr.tp_src = 0;
     pkt.hdr.tp_dst = 0;
     if (r.remaining() >= 8) pkt.trace_tag = r.u64();
+    if (r.remaining() >= 13) {
+      pkt.hdr.ip_src.addr = r.u32();
+      pkt.hdr.ip_dst.addr = r.u32();
+      pkt.hdr.ip_proto = r.u8();
+      pkt.hdr.tp_src = r.u16();
+      pkt.hdr.tp_dst = r.u16();
+    }
     return pkt;
   }
   if (r.remaining() < 20) return Error{Error::Code::kTruncated, "short IPv4 header"};
@@ -352,6 +361,10 @@ Result<Packet> parse_frame(std::span<const std::uint8_t> data,
     if (r.remaining() >= 8) pkt.trace_tag = r.u64();
   } else if (r.remaining() >= 8) {
     pkt.trace_tag = r.u64();
+    if (r.remaining() >= 4) {
+      pkt.hdr.tp_src = r.u16();
+      pkt.hdr.tp_dst = r.u16();
+    }
   }
   if (r.error()) return Error{Error::Code::kTruncated, "truncated L4"};
   return pkt;
@@ -374,8 +387,12 @@ FrameStatus peek_frame(std::span<const std::uint8_t> buffer,
   return FrameStatus::kReady;
 }
 
-Result<std::vector<std::uint8_t>> encode(const Message& msg) {
-  ByteWriter w(64);
+namespace {
+
+/// Appends msg as one OF 1.0 frame and patches its length; refuses frames
+/// whose length the 16-bit ofp_header.length cannot state.
+Status put_message(const Message& msg, ByteWriter& w) {
+  const std::size_t start = w.size();
   const std::uint32_t xid = msg.xid;
   bool unsupported = false;
   std::string what;
@@ -420,7 +437,14 @@ Result<std::vector<std::uint8_t>> encode(const Message& msg) {
           w.u16(static_cast<std::uint16_t>(abytes.size()));
           w.bytes(abytes);
           if (m.buffer_id == PacketIn::kNoBuffer) {
-            w.bytes(synthesize_frame(m.packet));
+            // The data *is* the packet: pad the synthesized headers with
+            // zeros to its size (bounded so an absurd size fails the length
+            // check below instead of allocating it).
+            const auto frame = synthesize_frame(m.packet);
+            w.bytes(frame);
+            const std::size_t size = std::min<std::size_t>(m.packet.size_bytes,
+                                                           kMaxFrameLen + 1);
+            if (size > frame.size()) w.zeros(size - frame.size());
           }
         } else if constexpr (std::is_same_v<T, FlowMod>) {
           put_header(w, OfpType::kFlowMod, xid);
@@ -544,7 +568,40 @@ Result<std::vector<std::uint8_t>> encode(const Message& msg) {
       msg.body);
   if (unsupported)
     return Error{Error::Code::kUnsupported, "no OF1.0 encoding for " + what};
-  return finish(std::move(w));
+  const std::size_t len = w.size() - start;
+  if (len > kMaxFrameLen)
+    return Error{Error::Code::kUnsupported,
+                 type_name(msg.body) + " frame of " + std::to_string(len) +
+                     " bytes exceeds the 16-bit ofp_header length"};
+  w.patch_u16(start + 2, static_cast<std::uint16_t>(len));
+  return Status::success();
+}
+
+} // namespace
+
+Result<std::vector<std::uint8_t>> encode(const Message& msg) {
+  ByteWriter w(64);
+  if (auto st = put_message(msg, w); !st) return st.error();
+  return std::move(w).take();
+}
+
+Result<std::vector<std::uint8_t>> encode_scoped(const Message& msg) {
+  ByteWriter w(64 + kDpidLen);
+  w.u64(raw(dpid_of(msg.body)));
+  if (auto st = put_message(msg, w); !st) return st.error();
+  return std::move(w).take();
+}
+
+std::size_t encoded_size(const FlowMod& mod) {
+  // ofp_header + ofp_match + the 24 fixed ofp_flow_mod bytes, then each
+  // action as put_actions() writes it.
+  std::size_t n = kHeaderLen + kMatchLen + 24;
+  for (const auto& a : mod.actions) {
+    const bool mac = std::holds_alternative<ActionSetEthSrc>(a) ||
+                     std::holds_alternative<ActionSetEthDst>(a);
+    n += mac ? 16 : 8;
+  }
+  return n;
 }
 
 Result<Message> decode(std::span<const std::uint8_t> frame, DatapathId conn_dpid) {
@@ -768,6 +825,13 @@ Result<Message> decode(std::span<const std::uint8_t> frame, DatapathId conn_dpid
                    "OF1.0 type " + std::to_string(static_cast<int>(type))};
   }
   return Error{Error::Code::kParse, "unknown ofp_type"};
+}
+
+Result<Message> decode_scoped(std::span<const std::uint8_t> frame) {
+  if (frame.size() < kDpidLen)
+    return Error{Error::Code::kTruncated, "short dpid prefix"};
+  ByteReader r(frame.first(kDpidLen));
+  return decode(frame.subspan(kDpidLen), DatapathId{r.u64()});
 }
 
 } // namespace legosdn::of::wire10

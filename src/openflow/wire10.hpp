@@ -1,20 +1,30 @@
-// Real OpenFlow 1.0 wire codec (interoperability layer).
+// OpenFlow 1.0 wire codec: the one binary form of a Message.
 //
-// The rest of the repository speaks a compact internal framing (codec.hpp).
-// This module encodes/decodes the same Message structs in the *actual*
-// OpenFlow 1.0 binary format (openflow.h, wire version 0x01): ofp_header,
-// the 40-byte ofp_match, ofp_flow_mod, ofp_packet_in/out with genuine
-// Ethernet/IPv4/TCP(UDP) frames as payload, ofp_phy_port, flow/port/
-// aggregate statistics, and so on — so captures produced here are readable
-// by standard OpenFlow tooling and vice versa.
+// Encodes/decodes the Message structs in the actual OpenFlow 1.0 format
+// (openflow.h, wire version 0x01): ofp_header, the 40-byte ofp_match,
+// ofp_flow_mod, ofp_packet_in/out with genuine Ethernet/IPv4/TCP(UDP)
+// frames as payload, ofp_phy_port, flow/port/aggregate statistics, and so
+// on — so captures produced here are readable by standard OpenFlow tooling
+// and vice versa.
 //
-// Representability notes (checked by encode, reported as kUnsupported):
+// Two framings share it. A switch connection carries bare frames (encode/
+// decode): OpenFlow scopes the datapath id by connection. Channels that
+// carry messages for many switches — the AppVisor RPC, the event codec,
+// replication records, diversity voting — use the scoped frame
+// (encode_scoped/decode_scoped): a u64 dpid followed by the same frame.
+//
+// Representability notes:
 //  - VLAN fields, TOS and port config/state bits have no internal
 //    counterpart; they encode as wildcarded/zero and decode to defaults.
 //  - Packet payloads are synthesized frames: headers are real; the packet's
-//    trace_tag rides in the TCP seq/ack fields (seq = high word, ack = low)
-//    and size_bytes in ofp_packet_in.total_len, so internal round-trips are
-//    lossless while remaining valid frames for external tools.
+//    trace_tag rides in the TCP seq/ack fields (seq = high word, ack = low),
+//    in the UDP body, or as the first 8 body bytes of any other frame,
+//    followed there by the L3/L4 fields the headers cannot hold. size_bytes
+//    rides in ofp_packet_in.total_len; an unbuffered packet-out pads its
+//    frame with zeros to size_bytes. Internal round-trips are lossless
+//    while remaining valid frames for external tools.
+//  - A frame longer than kMaxFrameLen is refused (kUnsupported), never
+//    truncated: ofp_header.length is 16 bits.
 #pragma once
 
 #include <span>
@@ -67,6 +77,20 @@ Result<std::vector<std::uint8_t>> encode(const Message& msg);
 /// Decode one OpenFlow 1.0 message. `conn_dpid` identifies the switch this
 /// connection belongs to (fills the dpid fields the wire cannot carry).
 Result<Message> decode(std::span<const std::uint8_t> frame, DatapathId conn_dpid);
+
+/// Length of the scoped frame's dpid prefix.
+constexpr std::size_t kDpidLen = 8;
+
+/// Encode one message as a scoped frame: the u64 dpid_of(msg.body) (0 for
+/// connection-scoped messages), then the unchanged OpenFlow 1.0 frame.
+Result<std::vector<std::uint8_t>> encode_scoped(const Message& msg);
+
+/// Decode a scoped frame; the prefix stands in for the connection's dpid.
+Result<Message> decode_scoped(std::span<const std::uint8_t> frame);
+
+/// encode({xid, mod}).size() computed without materializing the frame.
+/// NetLog sizes every recorded undo op on the flow-mod hot path.
+std::size_t encoded_size(const FlowMod& mod);
 
 /// Peek at a buffer: returns the total length of the first frame if the
 /// header is complete, 0 otherwise. For stream reassembly.

@@ -61,16 +61,19 @@ void WireSwitchClient::teardown() {
 
 bool WireSwitchClient::send(const of::Message& msg) {
   if (!conn_ || conn_->closed()) return false;
-  enqueue(msg);
+  const bool queued = enqueue(msg);
   service_out();
-  return true;
+  return queued;
 }
 
-void WireSwitchClient::enqueue(const of::Message& msg) {
+bool WireSwitchClient::enqueue(const of::Message& msg) {
   auto bytes = of::wire10::encode(msg);
-  if (!bytes) return;
-  conn_->enqueue(std::span<const std::uint8_t>(bytes.value()));
+  if (!bytes || !conn_->enqueue(std::span<const std::uint8_t>(bytes.value()))) {
+    stats_.sends_dropped += 1;
+    return false;
+  }
   stats_.frames_out += 1;
+  return true;
 }
 
 void WireSwitchClient::service_out() {

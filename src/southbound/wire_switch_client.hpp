@@ -51,7 +51,9 @@ public:
   /// Handshake done from this side (FEATURES_REPLY sent).
   bool ready() const noexcept { return ready_; }
 
-  /// Send a switch-originated message to the controller.
+  /// Send a switch-originated message to the controller. False when not
+  /// connected, or when the message cannot be framed or queued (counted in
+  /// sends_dropped).
   bool send(const of::Message& msg);
 
   DatapathId dpid() const noexcept { return cfg_.dpid; }
@@ -59,6 +61,7 @@ public:
   struct Stats {
     std::uint64_t frames_in = 0;
     std::uint64_t frames_out = 0;
+    std::uint64_t sends_dropped = 0; ///< unframeable, or connection closed
     std::uint64_t echo_replies = 0;
     std::uint64_t decode_errors = 0;
     std::uint64_t downcalls = 0;
@@ -68,7 +71,7 @@ public:
 private:
   void on_io(std::uint32_t events);
   void handle_frame(std::span<const std::uint8_t> frame);
-  void enqueue(const of::Message& msg);
+  bool enqueue(const of::Message& msg);
   void service_out();
   void teardown();
 

@@ -119,7 +119,7 @@ TEST(Rpc, EventDoneRoundTripWithBundle) {
   mod.priority = 77;
   p.emitted.push_back({1, mod});
   p.emitted.push_back({2, of::BarrierRequest{DatapathId{5}}});
-  auto decoded = decode_event_done(encode_event_done(p));
+  auto decoded = decode_event_done(encode_event_done(p).value());
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().disposition, ctl::Disposition::kStop);
   ASSERT_EQ(decoded.value().emitted.size(), 2u);
@@ -128,10 +128,35 @@ TEST(Rpc, EventDoneRoundTripWithBundle) {
 
 TEST(Rpc, DeliverPayloadRoundTrip) {
   DeliverEventPayload p{123456789, ctl::Event{sample_packet_in()}};
-  auto decoded = decode_deliver(encode_deliver(p));
+  auto decoded = decode_deliver(encode_deliver(p).value());
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().now_ns, 123456789);
   EXPECT_EQ(decoded.value().event, p.event);
+}
+
+TEST(Rpc, UnframeablePayloadsAreEncodeErrors) {
+  // Past the 16-bit OF 1.0 frame length, encoding fails instead of shipping
+  // a wrapped length the other side would read as a malformed frame.
+  of::StatsReply sr;
+  sr.dpid = DatapathId{1};
+  sr.flows.resize(800);
+  for (auto& f : sr.flows) f.actions = of::output_to(PortNo{1});
+  EXPECT_FALSE(encode_deliver({1, ctl::Event{sr}}).ok());
+
+  of::PacketOut po;
+  po.dpid = DatapathId{1};
+  po.packet.size_bytes = 70000;
+  EventDonePayload done;
+  done.emitted.push_back({1, po});
+  EXPECT_FALSE(encode_event_done(done).ok());
+
+  // What the stub sends instead: the disposition and a dropped-bundle flag.
+  auto dropped = decode_event_done(
+      encode_event_done({ctl::Disposition::kStop, {}, /*bundle_dropped=*/true}).value());
+  ASSERT_TRUE(dropped.ok());
+  EXPECT_TRUE(dropped.value().bundle_dropped);
+  EXPECT_EQ(dropped.value().disposition, ctl::Disposition::kStop);
+  EXPECT_TRUE(dropped.value().emitted.empty());
 }
 
 TEST(Rpc, MalformedFramesRejected) {

@@ -185,7 +185,7 @@ TEST(EventCodec, RoundTripAllEventKinds) {
   events.push_back(LinkDown{{DatapathId{1}, PortNo{3}}, {DatapathId{2}, PortNo{2}}});
 
   for (const auto& e : events) {
-    auto decoded = decode_event(encode_event(e));
+    auto decoded = decode_event(encode_event(e).value());
     ASSERT_TRUE(decoded.ok()) << describe(e) << ": " << decoded.error().to_string();
     EXPECT_EQ(decoded.value(), e) << describe(e);
   }
@@ -193,7 +193,7 @@ TEST(EventCodec, RoundTripAllEventKinds) {
 
 TEST(EventCodec, RejectsTruncatedEvents) {
   const Event e = SwitchDown{DatapathId{7}};
-  auto bytes = encode_event(e);
+  auto bytes = encode_event(e).value();
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     std::vector<std::uint8_t> shortened(bytes.begin(),
                                         bytes.begin() + static_cast<long>(cut));

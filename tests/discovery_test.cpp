@@ -1,5 +1,6 @@
-// LinkDiscovery tests: probe encoding, topology discovery on several shapes,
-// reaction to failures, and bootstrap of the router from discovered links.
+// LinkDiscovery tests: probe encoding, topology discovery on several shapes
+// and transports, reaction to failures, and bootstrap of the router from
+// discovered links.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +9,8 @@
 #include "apps/shortest_path_router.hpp"
 #include "controller/controller.hpp"
 #include "helpers.hpp"
+#include "legosdn/lego_controller.hpp"
+#include "southbound/southbound_bridge.hpp"
 
 namespace legosdn::apps {
 namespace {
@@ -63,6 +66,66 @@ TEST_P(DiscoveryOnTopology, DiscoversEveryLinkBothWays) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Topologies, DiscoveryOnTopology, ::testing::Values(0, 1, 2, 3));
+
+std::vector<DiscoveredLink> sorted(std::vector<DiscoveredLink> links) {
+  std::sort(links.begin(), links.end());
+  return links;
+}
+
+/// (tx_bytes, rx_bytes) of every switch port: what the probes cost the links.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> port_bytes(
+    const netsim::Network& net) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+  for (DatapathId dpid : net.switch_ids())
+    for (const auto& [no, port] : net.switch_at(dpid)->ports())
+      out.emplace_back(port.tx_bytes, port.rx_bytes);
+  return out;
+}
+
+TEST(Discovery, SameLinksOverWireSouthboundAndProcessBackend) {
+  // A probe's origin rides in its L3/L4 fields and its size in the
+  // packet-out data. Both must cross the OF 1.0 wire southbound and the
+  // AppVisor RPC to a forked stub intact, or links attach to dpid 0.
+  auto net = netsim::Network::ring(4, 1);
+  ctl::Controller c(*net);
+  auto disc = std::make_shared<LinkDiscovery>();
+  c.register_app(disc);
+  c.start();
+  while (c.run() > 0) {
+  }
+  const auto want = sorted(disc->links());
+  ASSERT_EQ(want.size(), 2 * expected_bidir_links(*net));
+
+  {
+    auto wnet = netsim::Network::ring(4, 1);
+    ctl::Controller wc(*wnet);
+    auto wdisc = std::make_shared<LinkDiscovery>();
+    wc.register_app(wdisc);
+    southbound::SouthboundBridge bridge(*wnet, wc);
+    ASSERT_TRUE(bridge.start().ok());
+    wc.start();
+    bridge.settle();
+    EXPECT_EQ(sorted(wdisc->links()), want) << "wire southbound";
+    EXPECT_EQ(port_bytes(*wnet), port_bytes(*net)) << "wire southbound";
+  }
+  {
+    auto pnet = netsim::Network::ring(4, 1);
+    lego::LegoConfig cfg;
+    cfg.backend = appvisor::Backend::kProcess;
+    lego::LegoController lego(*pnet, cfg);
+    const AppId id = lego.add_app(std::make_shared<LinkDiscovery>());
+    ASSERT_TRUE(lego.start_system().ok());
+    while (lego.run() > 0) {
+    }
+    // The app lives in the stub: read its links back through a snapshot.
+    auto state = lego.appvisor().entry(id)->domain->snapshot();
+    ASSERT_TRUE(state.ok()) << state.error().to_string();
+    LinkDiscovery pdisc;
+    pdisc.restore_state(state.value());
+    EXPECT_EQ(sorted(pdisc.links()), want) << "process backend";
+    EXPECT_EQ(port_bytes(*pnet), port_bytes(*net)) << "process backend";
+  }
+}
 
 TEST(Discovery, LinkDownRemovesBothDirections) {
   auto net = netsim::Network::linear(3, 1);

@@ -83,6 +83,37 @@ TEST(ProcessDomain, StartDeliverShutdown) {
   EXPECT_FALSE(d.alive());
 }
 
+TEST(ProcessDomain, UnframeableMessagesAreDroppedNotCrashes) {
+  ProcessDomain d(std::make_shared<apps::Hub>());
+  ASSERT_TRUE(d.start());
+
+  // An event past the OF 1.0 frame limit never reaches the stub.
+  of::StatsReply sr;
+  sr.dpid = DatapathId{1};
+  sr.flows.resize(800);
+  for (auto& f : sr.flows) f.actions = of::output_to(PortNo{1});
+  auto out = d.deliver(ctl::Event{sr}, kSimStart);
+  EXPECT_TRUE(out.ok()) << out.crash_info;
+  EXPECT_TRUE(out.emitted.empty());
+  EXPECT_EQ(d.transport_stats()->unframeable, 1u);
+
+  // The hub echoes a 65,535-byte unbuffered packet as a packet-out that no
+  // frame can hold: the stub drops the bundle and says so.
+  of::PacketIn big = sample_packet_in();
+  big.packet.size_bytes = 65535;
+  out = d.deliver(ctl::Event{big}, kSimStart);
+  EXPECT_TRUE(out.ok()) << out.crash_info;
+  EXPECT_TRUE(out.emitted.empty());
+  EXPECT_EQ(d.transport_stats()->unframeable, 2u);
+
+  // Same app, same process: ordinary traffic still flows.
+  EXPECT_TRUE(d.alive());
+  out = d.deliver(ctl::Event{sample_packet_in()}, kSimStart);
+  EXPECT_TRUE(out.ok());
+  EXPECT_EQ(out.emitted.size(), 1u);
+  d.shutdown();
+}
+
 TEST(ProcessDomain, RealCrashIsDetectedAndControllerSurvives) {
   apps::CrashTrigger t;
   t.on_tp_dst = 666;

@@ -60,7 +60,7 @@ TEST(ReplicaCodec, RoundTripsEveryKind) {
   ReplicaRecord ev;
   ev.kind = ReplicaRecord::Kind::kEvent;
   ev.event = ctl::SwitchDown{DatapathId{7}};
-  auto r1 = decode_record(encode_record(ev));
+  auto r1 = decode_record(encode_record(ev).value());
   ASSERT_TRUE(r1);
   EXPECT_EQ(r1.value().kind, ReplicaRecord::Kind::kEvent);
   EXPECT_EQ(std::get<ctl::SwitchDown>(r1.value().event).dpid, DatapathId{7});
@@ -72,7 +72,7 @@ TEST(ReplicaCodec, RoundTripsEveryKind) {
   txn.txn.app = AppId{3};
   txn.txn.msg = {9, add_rule(DatapathId{2}, of::Match{}.with_tp_dst(80), 100,
                              PortNo{1})};
-  auto r2 = decode_record(encode_record(txn));
+  auto r2 = decode_record(encode_record(txn).value());
   ASSERT_TRUE(r2);
   EXPECT_EQ(r2.value().txn.kind, netlog::TxnRecord::Kind::kApply);
   EXPECT_EQ(r2.value().txn.txn, TxnId{42});
@@ -86,7 +86,7 @@ TEST(ReplicaCodec, RoundTripsEveryKind) {
   commit.txn.kind = netlog::TxnRecord::Kind::kCommit;
   commit.txn.txn = TxnId{42};
   commit.txn.app = AppId{3};
-  auto r3 = decode_record(encode_record(commit));
+  auto r3 = decode_record(encode_record(commit).value());
   ASSERT_TRUE(r3);
   EXPECT_EQ(r3.value().txn.kind, netlog::TxnRecord::Kind::kCommit);
 
@@ -94,7 +94,7 @@ TEST(ReplicaCodec, RoundTripsEveryKind) {
   snap.kind = ReplicaRecord::Kind::kAppState;
   snap.app_index = 2;
   snap.state = {1, 2, 3, 4};
-  auto r4 = decode_record(encode_record(snap));
+  auto r4 = decode_record(encode_record(snap).value());
   ASSERT_TRUE(r4);
   EXPECT_EQ(r4.value().app_index, 2u);
   EXPECT_EQ(r4.value().state, (std::vector<std::uint8_t>{1, 2, 3, 4}));
@@ -102,7 +102,7 @@ TEST(ReplicaCodec, RoundTripsEveryKind) {
   ReplicaRecord down;
   down.kind = ReplicaRecord::Kind::kAppDown;
   down.app_index = 1;
-  auto r5 = decode_record(encode_record(down));
+  auto r5 = decode_record(encode_record(down).value());
   ASSERT_TRUE(r5);
   EXPECT_EQ(r5.value().kind, ReplicaRecord::Kind::kAppDown);
   EXPECT_EQ(r5.value().app_index, 1u);
@@ -112,12 +112,34 @@ TEST(ReplicaCodec, RejectsTruncatedAndGarbage) {
   ReplicaRecord snap;
   snap.kind = ReplicaRecord::Kind::kAppState;
   snap.state = {1, 2, 3};
-  auto bytes = encode_record(snap);
+  auto bytes = encode_record(snap).value();
   bytes.resize(bytes.size() - 2);
   EXPECT_FALSE(decode_record(bytes));
 
   const std::vector<std::uint8_t> garbage = {0xFF, 0x00, 0x01};
   EXPECT_FALSE(decode_record(garbage));
+}
+
+TEST(ReplicaCodec, UnframeableEventIsAnEncodeError) {
+  // A flow-stats reply of 800 flows is a 76,812-byte OF 1.0 frame: the
+  // record must refuse it rather than ship a wrapped length field.
+  of::StatsReply sr;
+  sr.dpid = DatapathId{1};
+  sr.flows.resize(800);
+  for (auto& f : sr.flows) f.actions = of::output_to(PortNo{1});
+  ReplicaRecord ev;
+  ev.kind = ReplicaRecord::Kind::kEvent;
+  ev.event = sr;
+  auto bytes = encode_record(ev);
+  ASSERT_FALSE(bytes.ok());
+  EXPECT_EQ(bytes.error().code, Error::Code::kUnsupported);
+  sr.flows.resize(680);
+  ev.event = sr;
+  auto fits = encode_record(ev);
+  ASSERT_TRUE(fits.ok());
+  auto back = decode_record(fits.value());
+  ASSERT_TRUE(back.ok()) << back.error().to_string();
+  EXPECT_EQ(back.value().event, ev.event);
 }
 
 // --- warm followers ---

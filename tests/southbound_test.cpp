@@ -593,6 +593,44 @@ TEST(WireSwitchClient, HandshakesAndReceivesDowncalls) {
   EXPECT_EQ(client.stats().downcalls, 1u);
 }
 
+TEST(WireSwitchClient, UnframeableSendIsCountedAsDropped) {
+  ServerFixture fx;
+  EventLoop cloop;
+  WireSwitchClient::Config cc;
+  cc.dpid = DatapathId{12};
+  cc.features = test_features(12);
+  WireSwitchClient client(cloop, cc, [](const of::Message&) {});
+  ASSERT_TRUE(client.connect("127.0.0.1", fx.server.port()).ok());
+  auto pump_until = [&](auto pred) {
+    const auto deadline = steady_clock::now() + seconds(2);
+    while (!pred() && steady_clock::now() < deadline) {
+      fx.server.poll(0);
+      cloop.poll(0);
+    }
+    return pred();
+  };
+  ASSERT_TRUE(pump_until([&] { return fx.server.knows(DatapathId{12}); }));
+
+  // 800 flows of 96 bytes: past the 16-bit ofp_header length.
+  of::StatsReply sr;
+  sr.dpid = DatapathId{12};
+  sr.flows.resize(800);
+  for (auto& f : sr.flows) f.actions = of::output_to(PortNo{1});
+  EXPECT_FALSE(client.send({1, sr}));
+  EXPECT_EQ(client.stats().sends_dropped, 1u);
+
+  // The connection stays in sync: the next reply arrives intact.
+  sr.flows.resize(2);
+  const auto frames_before = client.stats().frames_out;
+  ASSERT_TRUE(client.send({2, sr}));
+  EXPECT_EQ(client.stats().frames_out, frames_before + 1);
+  ASSERT_TRUE(pump_until([&] { return fx.events.size() == 2; }));
+  const auto* got = std::get_if<of::StatsReply>(&fx.events[1]);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->flows.size(), 2u);
+  EXPECT_EQ(fx.server.stats().decode_errors, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Bridge: sharded dispatch fed from the wire
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 // OpenFlow 1.0 wire codec tests: spec-conformant golden bytes, round-trips
-// through real OF1.0 frames, frame synthesis/parsing, and fuzz.
+// through real OF1.0 frames (scoped by their dpid prefix), frame synthesis/
+// parsing, the 16-bit frame-length limit, and fuzz.
 #include <gtest/gtest.h>
 
 #include <iomanip>
@@ -98,11 +99,7 @@ TEST(Wire10, FrameSynthesisRoundTrip) {
     auto frame = synthesize_frame(pkt);
     auto parsed = parse_frame(frame, static_cast<std::uint16_t>(pkt.size_bytes));
     ASSERT_TRUE(parsed.ok());
-    if (pkt.hdr.ip_proto != of::kIpProtoTcp && pkt.hdr.ip_proto != of::kIpProtoUdp) {
-      // non-TCP/UDP carries no ports on a real wire
-      pkt.hdr.tp_src = 0;
-      pkt.hdr.tp_dst = 0;
-    }
+    // Non-TCP/UDP frames carry their ports after the trace tag.
     EXPECT_EQ(parsed.value().hdr, pkt.hdr) << i;
     EXPECT_EQ(parsed.value().trace_tag, pkt.trace_tag) << i;
     EXPECT_EQ(parsed.value().size_bytes, pkt.size_bytes) << i;
@@ -125,6 +122,86 @@ TEST(Wire10, NonIpFrameRoundTrip) {
   auto parsed = parse_frame(frame, 22);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value(), pkt);
+}
+
+TEST(Wire10, PacketsKeepL3L4FieldsAndSizeAcrossPacketInAndOut) {
+  // A LinkDiscovery-style probe: non-IP, its origin in ip_src/ip_dst/tp_src.
+  of::Packet probe;
+  probe.hdr.eth_type = 0x88CC;
+  probe.hdr.ip_src = IpV4{0x1234};
+  probe.hdr.ip_dst = IpV4{0};
+  probe.hdr.tp_src = 3;
+  probe.size_bytes = 60;
+  // An IPv4 frame that is neither TCP nor UDP keeps its ports too.
+  of::Packet icmp = legosdn::test::packet_between(MacAddress::from_uint64(1),
+                                                  MacAddress::from_uint64(2), 80);
+  icmp.hdr.ip_proto = of::kIpProtoIcmp;
+  icmp.hdr.tp_src = 8;
+  for (const of::Packet& pkt : {probe, icmp}) {
+    PacketOut po;
+    po.dpid = DatapathId{7};
+    po.actions = of::output_to(PortNo{2});
+    po.packet = pkt;
+    PacketIn pin;
+    pin.dpid = DatapathId{7};
+    pin.in_port = PortNo{1};
+    pin.packet = pkt;
+    for (const Message& msg : {Message{1, po}, Message{2, pin}}) {
+      auto decoded = decode_scoped(encode_scoped(msg).value());
+      ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+      EXPECT_EQ(decoded.value(), msg) << of::type_name(msg.body);
+    }
+  }
+}
+
+TEST(Wire10, EncodedSizeMatchesEncodeForFlowMods) {
+  // encoded_size() is the arithmetic twin of encode() that NetLog's
+  // undo-byte accounting uses on the hot path; any drift between the two
+  // silently corrupts undo_bytes_peak. Sweep random mods plus one mod
+  // carrying every action kind.
+  MessageGen gen(77);
+  for (int i = 0; i < 200; ++i) {
+    const FlowMod mod = gen.random_flow_mod(64);
+    EXPECT_EQ(encoded_size(mod), encode({std::uint32_t(i), mod}).value().size());
+  }
+  FlowMod all;
+  all.dpid = DatapathId{3};
+  all.match = gen.random_match();
+  all.actions = {
+      ActionOutput{PortNo{7}},
+      ActionSetEthSrc{MacAddress::from_uint64(0xAAA)},
+      ActionSetEthDst{MacAddress::from_uint64(0xBBB)},
+      ActionSetIpSrc{IpV4::from_octets(1, 2, 3, 4)},
+      ActionSetIpDst{IpV4::from_octets(5, 6, 7, 8)},
+      ActionSetTpSrc{1234},
+      ActionSetTpDst{80},
+  };
+  EXPECT_EQ(encoded_size(all), encode({9, all}).value().size());
+  all.actions.clear();
+  EXPECT_EQ(encoded_size(all), encode({9, all}).value().size());
+}
+
+TEST(Wire10, FramesPastSixteenBitLengthAreRefusedNotWrapped) {
+  // ofp_packet_out without actions is 16 bytes before its data.
+  PacketOut po;
+  po.dpid = DatapathId{1};
+  po.packet.size_bytes = 65535 - 16;
+  auto largest = encode({1, po});
+  ASSERT_TRUE(largest.ok()) << largest.error().to_string();
+  ASSERT_EQ(largest.value().size(), 65535u);
+  std::size_t total = 0;
+  EXPECT_EQ(peek_frame(largest.value(), &total), FrameStatus::kReady);
+  auto back = decode(largest.value(), DatapathId{1});
+  ASSERT_TRUE(back.ok()) << back.error().to_string();
+  EXPECT_EQ(back.value().get_if<PacketOut>()->packet.size_bytes, 65535u - 16);
+
+  po.packet.size_bytes += 1; // a 65,536-byte frame
+  auto over = encode({1, po});
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.error().code, Error::Code::kUnsupported);
+  EXPECT_FALSE(encode_scoped({1, po}).ok());
+  po.packet.size_bytes = 0xFFFFFFFF; // refused without materializing it
+  EXPECT_FALSE(encode({1, po}).ok());
 }
 
 /// Canonicalize fields OF 1.0 genuinely cannot carry, so round-trip
@@ -172,20 +249,10 @@ Message canonicalize(Message msg) {
         }
         if constexpr (std::is_same_v<T, Hello>) {
           m.version = 1;
-        } else if constexpr (std::is_same_v<T, PacketIn> || std::is_same_v<T, PacketOut>) {
-          m.packet.hdr.eth_type = kEthTypeIpv4;
-          if (m.packet.hdr.ip_proto != kIpProtoTcp &&
-              m.packet.hdr.ip_proto != kIpProtoUdp) {
-            m.packet.hdr.ip_proto = kIpProtoTcp;
-          }
-          if constexpr (std::is_same_v<T, PacketIn>) {
-            m.packet.size_bytes &= 0xFFFF; // total_len is u16 on the wire
-          } else {
-            // data only travels when unbuffered; total_len not carried at all
-            m.buffer_id = PacketIn::kNoBuffer;
-            auto frame = synthesize_frame(m.packet);
-            m.packet.size_bytes = static_cast<std::uint32_t>(frame.size());
-          }
+        } else if constexpr (std::is_same_v<T, PacketIn>) {
+          m.packet.size_bytes &= 0xFFFF; // total_len is u16 on the wire
+        } else if constexpr (std::is_same_v<T, PacketOut>) {
+          m.buffer_id = PacketIn::kNoBuffer; // data only travels when unbuffered
         } else if constexpr (std::is_same_v<T, FeaturesReply> ||
                              std::is_same_v<T, PortStatus>) {
           auto fix_port = [](PortDesc& p) {
@@ -209,16 +276,10 @@ TEST_P(Wire10RoundTrip, RandomMessagesSurviveRealOf10Encoding) {
   int done = 0;
   for (int i = 0; i < 600; ++i) {
     Message msg = canonicalize(gen.random_message());
-    auto bytes = encode(msg);
+    // The scoped frame's prefix carries the dpid a connection would know.
+    auto bytes = encode_scoped(msg);
     ASSERT_TRUE(bytes.ok()) << of::type_name(msg.body);
-    // Recover the dpid the connection would know.
-    DatapathId dpid{};
-    std::visit(
-        [&](const auto& m) {
-          if constexpr (requires { m.dpid; }) dpid = m.dpid;
-        },
-        msg.body);
-    auto decoded = decode(bytes.value(), dpid);
+    auto decoded = decode_scoped(bytes.value());
     ASSERT_TRUE(decoded.ok())
         << of::type_name(msg.body) << ": " << decoded.error().to_string();
     EXPECT_EQ(decoded.value(), msg)
