@@ -85,9 +85,10 @@ int main() {
   }
   table.print();
   std::printf("\n");
-  bench::note("Shape: delay-buffer defers all work to commit and rolls back for free;");
-  bench::note("undo-log pays per-op undo recording but rollback stays cheap and the");
-  bench::note("network sees rules immediately (no added rule-install latency).");
+  bench::note("Shape: both modes record undo ops in the shadows at apply; delay-buffer");
+  bench::note("defers the sends to commit and its rollback sends nothing, while undo-log");
+  bench::note("sends inverses on rollback but the network sees rules immediately");
+  bench::note("(no added rule-install latency).");
 
   bench::section("C3b: counter-cache correctness under delete/rollback churn (§3.2)");
   std::uint64_t cc_true = 0, cc_corrected = 0;

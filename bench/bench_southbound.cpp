@@ -236,7 +236,7 @@ HandshakeResult handshake_storm(southbound::OFServer& srv, std::uint16_t port,
 
 struct Cell {
   double events_per_sec = 0;
-  Summary lat;
+  LatencyHistogram lat;
   std::uint64_t batches = 0;
   double events_per_batch_p50 = 0;
   double events_per_batch_max = 0;

@@ -137,7 +137,7 @@ void ShardedDispatcher::run(Lane& lane, std::size_t idx) {
     // Execute the drained items; `run_done` counts the current batch — the
     // maximal run of local events between swaps/barriers.
     std::uint64_t run_done = 0;
-    Summary run_latency;
+    LatencyHistogram run_latency;
     auto close_batch = [&] {
       if (run_done == 0) return;
       // Boundary hook first, completion accounting second: drain() must not

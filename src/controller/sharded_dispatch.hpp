@@ -104,8 +104,9 @@ public:
     std::uint64_t lock_acquisitions = 0;
     std::size_t queue_peak = 0;   ///< deepest any lane queue got
     std::vector<std::uint64_t> per_shard;
-    Summary latency_us;   ///< submit-to-completion, when measured
-    Summary batch_events; ///< events per drained batch (p50/max via percentile)
+    /// Bounded (fixed buckets): a long-lived controller records every event.
+    LatencyHistogram latency_us;   ///< submit-to-completion, when measured
+    LatencyHistogram batch_events; ///< events per drained batch (p50/max)
   };
   Stats stats() const;
 
@@ -134,8 +135,8 @@ private:
     std::size_t peak = 0;
     std::uint64_t batches = 0;
     std::uint64_t lock_acquires = 0; ///< incremented while holding mu
-    Summary latency_us;
-    Summary batch_events;
+    LatencyHistogram latency_us;
+    LatencyHistogram batch_events;
     std::thread thread;
   };
 

@@ -63,8 +63,8 @@ of::PacketHeader representative_header(const of::Match& m) {
   return h;
 }
 
-TraceResult InvariantChecker::trace(PortLocator ingress,
-                                    const of::PacketHeader& hdr0) const {
+TraceResult InvariantChecker::trace(PortLocator ingress, const of::PacketHeader& hdr0,
+                                    const TableView& view) const {
   TraceResult res;
   // Work item: a copy of the packet at a switch ingress. Floods fan out;
   // the trace reports the *worst* outcome across all copies, where
@@ -121,7 +121,8 @@ TraceResult InvariantChecker::trace(PortLocator ingress,
       continue;
     }
     res.path.push_back(it.at);
-    const netsim::FlowEntry* e = table_of(it.at.dpid, *sw).peek(it.at.port, it.hdr);
+    const netsim::FlowEntry* e =
+        table_of(view, it.at.dpid, *sw).peek(it.at.port, it.hdr);
     if (!e) {
       acc = worse(acc, TraceOutcome::kMiss);
       res.last_switch = it.at.dpid;
@@ -212,6 +213,7 @@ TraceResult InvariantChecker::trace(PortLocator ingress,
 void InvariantChecker::check_entry(const InvariantConfig& cfg, DatapathId dpid,
                                    const netsim::SimSwitch& sw,
                                    const netsim::FlowEntry& e,
+                                   const TableView& view,
                                    std::vector<Violation>& out) const {
   const of::PacketHeader hdr = representative_header(e.match);
   // Determine candidate ingress ports for this rule.
@@ -224,8 +226,8 @@ void InvariantChecker::check_entry(const InvariantConfig& cfg, DatapathId dpid,
   }
   for (const PortNo in : ingresses) {
     // Only trace if this entry is actually the winner for the header.
-    if (table_of(dpid, sw).peek(in, hdr) != &e) continue;
-    const TraceResult tr = trace({dpid, in}, hdr);
+    if (table_of(view, dpid, sw).peek(in, hdr) != &e) continue;
+    const TraceResult tr = trace({dpid, in}, hdr, view);
     if (cfg.check_loops && tr.outcome == TraceOutcome::kLooped) {
       out.push_back({InvariantKind::kNoLoops, tr.last_switch,
                      "rule " + e.match.to_string() + " at s" +
@@ -249,62 +251,42 @@ void InvariantChecker::check_rules(const InvariantConfig& cfg,
   for (const DatapathId dpid : all) {
     const netsim::SimSwitch* sw = net_.switch_at(dpid);
     if (!sw || !sw->up()) continue;
-    for (const auto& e : sw->table().entries()) check_entry(cfg, dpid, *sw, e, out);
+    for (const auto& e : sw->table().entries()) check_entry(cfg, dpid, *sw, e, {}, out);
   }
 }
 
-const netsim::FlowTable& InvariantChecker::table_of(
-    DatapathId dpid, const netsim::SimSwitch& sw) const {
-  if (overlay_) {
-    if (auto it = overlay_->find(dpid); it != overlay_->end()) return it->second;
+const netsim::FlowTable& InvariantChecker::table_of(const TableView& view,
+                                                   DatapathId dpid,
+                                                   const netsim::SimSwitch& sw) {
+  if (view) {
+    if (const netsim::FlowTable* t = view(dpid)) return *t;
   }
   return sw.table();
 }
 
 std::vector<Violation> InvariantChecker::check_flow_mods(
-    const InvariantConfig& cfg, std::span<const of::FlowMod> mods) const {
+    const InvariantConfig& cfg, std::span<const of::FlowMod> mods,
+    const TableView& view) const {
   std::vector<Violation> out;
   if (!cfg.check_loops && !cfg.check_black_holes) return out;
-
-  // The mods may not have reached the switches yet (delay-buffer NetLog holds
-  // the whole bundle until commit), so verify against the *would-be* state:
-  // per touched switch, a copy of the live table with every pending mod
-  // applied. Traces consult the overlay for these switches and the live
-  // tables elsewhere — for already-applied mods (undo-log mode) the overlay
-  // is byte-equivalent to the live table, so both modes share this path.
-  std::unordered_map<DatapathId, netsim::FlowTable> overlay;
-  for (const auto& mod : mods) {
-    const netsim::SimSwitch* sw = net_.switch_at(mod.dpid);
-    if (!sw || !sw->up()) continue;
-    auto [it, inserted] = overlay.try_emplace(mod.dpid);
-    if (inserted) {
-      // FlowTable owns its classifier index and is move-only; rebuild the
-      // live table entry-by-entry (restore preserves all runtime state).
-      for (const auto& e : sw->table().entries()) it->second.restore(e);
-    }
-    it->second.apply(mod, net_.now());
-  }
-  overlay_ = &overlay;
-
   for (const auto& mod : mods) {
     if (mod.command == of::FlowModCommand::kDelete ||
         mod.command == of::FlowModCommand::kDeleteStrict)
       continue; // removals cannot add rule-level violations
     const netsim::SimSwitch* sw = net_.switch_at(mod.dpid);
     if (!sw || !sw->up()) continue;
-    const netsim::FlowTable& table = table_of(mod.dpid, *sw);
+    const netsim::FlowTable& table = table_of(view, mod.dpid, *sw);
     // Non-strict modify touches every covered entry; re-check them all.
     if (mod.command == of::FlowModCommand::kModify) {
       for (const auto& e : table.entries()) {
-        if (mod.match.subsumes(e.match)) check_entry(cfg, mod.dpid, *sw, e, out);
+        if (mod.match.subsumes(e.match)) check_entry(cfg, mod.dpid, *sw, e, view, out);
       }
       continue;
     }
     if (const netsim::FlowEntry* e = table.find_strict(mod.match, mod.priority)) {
-      check_entry(cfg, mod.dpid, *sw, *e, out);
+      check_entry(cfg, mod.dpid, *sw, *e, view, out);
     }
   }
-  overlay_ = nullptr;
   return out;
 }
 
@@ -317,12 +299,18 @@ std::vector<Violation> InvariantChecker::check_reachability_only(
 
 void InvariantChecker::check_reachability(const InvariantConfig& cfg,
                                           std::vector<Violation>& out) const {
-  for (const auto& spec : cfg.must_reach) {
+  for (const auto& b : broken_reachability(cfg)) out.push_back(reachability_violation(cfg, b));
+}
+
+std::vector<ReachabilityBreak> InvariantChecker::broken_reachability(
+    const InvariantConfig& cfg, const TableView& view) const {
+  std::vector<ReachabilityBreak> out;
+  for (std::size_t i = 0; i < cfg.must_reach.size(); ++i) {
+    const ReachabilitySpec& spec = cfg.must_reach[i];
     const netsim::Host* src = net_.host_by_mac(spec.src);
     const netsim::Host* dst = net_.host_by_mac(spec.dst);
     if (!src || !dst) {
-      out.push_back({InvariantKind::kReachability, DatapathId{0},
-                     "reachability spec references unknown host"});
+      out.push_back({i, /*unknown_host=*/true, TraceOutcome::kMiss, DatapathId{0}});
       continue;
     }
     of::PacketHeader hdr;
@@ -334,23 +322,33 @@ void InvariantChecker::check_reachability(const InvariantConfig& cfg,
     hdr.ip_proto = of::kIpProtoTcp;
     hdr.tp_src = 10000;
     hdr.tp_dst = 80;
-    const TraceResult tr = trace(src->attach, hdr);
+    const TraceResult tr = trace(src->attach, hdr, view);
     // A miss means the controller still gets a say, so it is not a violation.
     // Delivery by any copy satisfies the pair even if sibling flood copies
     // died on empty ports. Otherwise loops, black-holes and drops count.
     if (!tr.delivered_any &&
         (tr.outcome == TraceOutcome::kLooped || tr.outcome == TraceOutcome::kDeadEnd ||
          tr.outcome == TraceOutcome::kDropRule)) {
-      std::ostringstream os;
-      os << spec.src.to_string() << " -> " << spec.dst.to_string()
-         << " broken (outcome="
-         << (tr.outcome == TraceOutcome::kLooped     ? "loop"
-             : tr.outcome == TraceOutcome::kDeadEnd ? "black-hole"
-                                                    : "drop-rule")
-         << ")";
-      out.push_back({InvariantKind::kReachability, tr.last_switch, os.str()});
+      out.push_back({i, /*unknown_host=*/false, tr.outcome, tr.last_switch});
     }
   }
+  return out;
+}
+
+Violation InvariantChecker::reachability_violation(const InvariantConfig& cfg,
+                                                   const ReachabilityBreak& b) {
+  if (b.unknown_host) {
+    return {InvariantKind::kReachability, DatapathId{0},
+            "reachability spec references unknown host"};
+  }
+  const ReachabilitySpec& spec = cfg.must_reach[b.spec];
+  std::ostringstream os;
+  os << spec.src.to_string() << " -> " << spec.dst.to_string() << " broken (outcome="
+     << (b.outcome == TraceOutcome::kLooped     ? "loop"
+         : b.outcome == TraceOutcome::kDeadEnd ? "black-hole"
+                                               : "drop-rule")
+     << ")";
+  return {InvariantKind::kReachability, b.where, os.str()};
 }
 
 std::vector<Violation> InvariantChecker::check(const InvariantConfig& cfg) const {

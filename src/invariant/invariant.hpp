@@ -5,12 +5,15 @@
 // [VeriFlow]"). This module provides that policy checker: it symbolically
 // traces representative packets through the *installed* flow rules (without
 // touching counters) and reports forwarding loops, black-holes, and
-// reachability violations.
+// reachability violations. A TableView substitutes other tables for some
+// switches: LegoSDN verifies an open transaction against NetLog's shadow
+// tables, which hold the transaction's writes before (delay-buffer) or
+// regardless of (a lagging southbound) their arrival at the switch.
 #pragma once
 
+#include <functional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "netsim/network.hpp"
@@ -64,12 +67,30 @@ struct InvariantConfig {
   std::vector<ReachabilitySpec> must_reach;
 };
 
+/// A must_reach pair whose trace fails. Cheap to produce and compare: the
+/// detail string is only built (reachability_violation) for a break that is
+/// actually reported.
+struct ReachabilityBreak {
+  std::size_t spec = 0;        ///< index into InvariantConfig::must_reach
+  bool unknown_host = false;   ///< the spec names a host the network lacks
+  TraceOutcome outcome = TraceOutcome::kMiss; ///< loop, dead-end or drop
+  DatapathId where{};
+};
+
+/// Which flow table a trace consults at each switch: the resolver returns
+/// the table to read for a dpid, or nullptr for the switch's live table. An
+/// empty view reads live tables everywhere. The verifier of an open NetLog
+/// transaction passes NetLog's shadows for the switches it wrote — the
+/// would-be state — so nothing is copied per transaction.
+using TableView = std::function<const netsim::FlowTable*(DatapathId)>;
+
 class InvariantChecker {
 public:
   explicit InvariantChecker(const netsim::Network& net) : net_(net) {}
 
   /// Symbolically forward a header from a switch port using peek() lookups.
-  TraceResult trace(PortLocator ingress, const of::PacketHeader& hdr) const;
+  TraceResult trace(PortLocator ingress, const of::PacketHeader& hdr,
+                    const TableView& view = {}) const;
 
   /// Run all configured checks over the currently installed rules.
   std::vector<Violation> check(const InvariantConfig& cfg) const;
@@ -89,12 +110,24 @@ public:
   /// rules finds it; a new black-hole can only be one of those rules; and
   /// reachability (which old rules can lose through shadowing) is covered by
   /// the caller's global reachability diff. Pre-existing violations are
-  /// never attributed.
+  /// never attributed. The mods must be visible through `view`: the default
+  /// (live tables) suits mods already installed; a transaction still in
+  /// flight passes NetLog's view of it. Re-entrant: all state is per call.
   std::vector<Violation> check_flow_mods(const InvariantConfig& cfg,
-                                         std::span<const of::FlowMod> mods) const;
+                                         std::span<const of::FlowMod> mods,
+                                         const TableView& view = {}) const;
 
-  /// Reachability-only check (used as the cheap pre-transaction baseline).
+  /// Reachability-only check.
   std::vector<Violation> check_reachability_only(const InvariantConfig& cfg) const;
+
+  /// The must_reach pairs that are broken, in ascending spec order — the
+  /// structured form a per-transaction baseline diffs by index.
+  std::vector<ReachabilityBreak> broken_reachability(const InvariantConfig& cfg,
+                                                     const TableView& view = {}) const;
+
+  /// The reportable form of one break.
+  static Violation reachability_violation(const InvariantConfig& cfg,
+                                          const ReachabilityBreak& b);
 
   /// Convenience: loops + black-holes with no reachability specs.
   std::vector<Violation> check_basic() const { return check(InvariantConfig{}); }
@@ -105,22 +138,16 @@ private:
                    std::vector<Violation>& out) const;
   void check_entry(const InvariantConfig& cfg, DatapathId dpid,
                    const netsim::SimSwitch& sw, const netsim::FlowEntry& e,
-                   std::vector<Violation>& out) const;
+                   const TableView& view, std::vector<Violation>& out) const;
   void check_reachability(const InvariantConfig& cfg,
                           std::vector<Violation>& out) const;
 
-  /// Flow table to consult for a switch: the pending-rule overlay when one is
-  /// active (check_flow_mods verifying rules that have not reached the switch
-  /// yet — delay-buffer NetLog holds the bundle until commit), otherwise the
-  /// switch's live table.
-  const netsim::FlowTable& table_of(DatapathId dpid,
-                                    const netsim::SimSwitch& sw) const;
+  /// Flow table to consult for a switch: the view's table when it names one,
+  /// otherwise the switch's live table.
+  static const netsim::FlowTable& table_of(const TableView& view, DatapathId dpid,
+                                           const netsim::SimSwitch& sw);
 
   const netsim::Network& net_;
-  /// Active only inside check_flow_mods: per-switch copies of the live
-  /// tables with the transaction's pending mods applied on top.
-  mutable const std::unordered_map<DatapathId, netsim::FlowTable>* overlay_ =
-      nullptr;
   static constexpr std::size_t kHopLimit = 128;
 };
 

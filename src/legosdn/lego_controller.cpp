@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <set>
 
 #include "common/log.hpp"
 #include "legosdn/delta_debug.hpp"
@@ -181,10 +180,10 @@ bool LegoController::apply_transaction(appvisor::AppEntry& entry,
   // Byzantine detection must only blame violations this transaction *adds*:
   // a dead switch leaves stale black-holes network-wide, and a transaction
   // that merely coexists with (or even repairs) them is innocent. Like
-  // VeriFlow, verification is incremental — only rules at the switches this
-  // transaction touches are re-traced — and diffed against a pre-txn
-  // baseline over the same scope.
-  std::set<std::string> baseline;
+  // VeriFlow, verification is incremental — only the rules this transaction
+  // wrote are re-traced — and reachability is diffed, by must_reach spec,
+  // against a pre-txn baseline.
+  std::vector<std::size_t> baseline; // broken specs, ascending
   std::vector<of::FlowMod> written;
   const bool verify = cfg_.byzantine_detection && has_state_change;
   // Commit coalescing (§4.7): lane-local, non-verifying, undo-log
@@ -216,8 +215,8 @@ bool LegoController::apply_transaction(appvisor::AppEntry& entry,
     }
     // Cheap global baseline: only reachability can regress through rules the
     // transaction did not write (shadowing), so only it needs diffing.
-    for (const auto& v : checker_.check_reachability_only(cfg_.invariants))
-      baseline.insert(v.to_string());
+    for (const auto& b : checker_.broken_reachability(cfg_.invariants))
+      baseline.push_back(b.spec);
   }
 
   TxnId txn{};
@@ -236,20 +235,32 @@ bool LegoController::apply_transaction(appvisor::AppEntry& entry,
   for (const auto& msg : emitted) netlog_.apply(txn, msg);
 
   if (verify) {
-    std::string detail;
-    // Rule-level violations traced from exactly the rules this transaction
-    // wrote are new by construction.
-    for (const auto& v : checker_.check_flow_mods(cfg_.invariants, written)) {
-      if (!detail.empty()) detail += "; ";
-      detail += v.to_string();
+    std::vector<invariant::Violation> found;
+    {
+      // Verify the would-be network: NetLog's shadows for the switches this
+      // transaction wrote (they hold its rules in both NetLog modes, and
+      // whatever earlier commits are still on the wire), live tables
+      // elsewhere. The view holds the written switches' stripes, so it must
+      // go before commit/rollback take them again.
+      const netlog::NetLog::VerifyView view = netlog_.verify_view(txn);
+      const invariant::TableView tables = [&view](DatapathId d) {
+        return view.table(d);
+      };
+      // Rule-level violations traced from exactly the rules this transaction
+      // wrote are new by construction.
+      found = checker_.check_flow_mods(cfg_.invariants, written, tables);
+      for (const auto& b : checker_.broken_reachability(cfg_.invariants, tables)) {
+        if (!std::binary_search(baseline.begin(), baseline.end(), b.spec))
+          found.push_back(
+              invariant::InvariantChecker::reachability_violation(cfg_.invariants, b));
+      }
     }
-    for (const auto& v : checker_.check_reachability_only(cfg_.invariants)) {
-      const std::string s = v.to_string();
-      if (baseline.contains(s)) continue;
-      if (!detail.empty()) detail += "; ";
-      detail += s;
-    }
-    if (!detail.empty()) {
+    if (!found.empty()) {
+      std::string detail;
+      for (const auto& v : found) {
+        if (!detail.empty()) detail += "; ";
+        detail += v.to_string();
+      }
       netlog_.rollback(txn);
       {
         std::lock_guard<std::mutex> lk(lego_mu_);
@@ -399,6 +410,12 @@ void LegoController::dispatch_core(ctl::Event e, std::size_t shard) {
   }
   if (auto* sr = std::get_if<of::StatsReply>(&e)) {
     netlog_.correct_stats(*sr);
+  }
+  if (const auto* up = std::get_if<ctl::SwitchUp>(&e)) {
+    // Writers stop while the shadow is re-seeded: a transaction's unsent
+    // (delay-buffered) writes live only in the shadow.
+    std::unique_lock<std::shared_mutex> lk(txn_rw_);
+    netlog_.resync_shadow(up->dpid);
   }
   if (shard == ctl::ShardRouter::kGlobal) {
     netlog_.expire_shadows(now());
@@ -780,6 +797,7 @@ void LegoController::follower_ingest_event(const ctl::Event& e) {
   if (auto* sr = std::get_if<of::StatsReply>(&ev)) {
     netlog_.correct_stats(*sr);
   }
+  if (const auto* up = std::get_if<ctl::SwitchUp>(&ev)) netlog_.resync_shadow(up->dpid);
   netlog_.expire_shadows(now());
 
   const auto type_idx = static_cast<std::size_t>(ctl::event_type(ev));

@@ -198,13 +198,15 @@ Status NetLog::apply(TxnId id, const of::Message& msg) {
     {
       StripeGuard guard(*this, mod->dpid);
       touch(*txn, mod->dpid);
+      // Both modes: the shadow learns the mod now, so it is the would-be
+      // table verification reads. Only undo-log mode sends it now.
+      record_undo(*txn, *mod);
+      const std::size_t bytes = txn->undo_wire_bytes;
+      std::size_t peak = stats_.undo_bytes_peak.load(std::memory_order_relaxed);
+      while (bytes > peak && !stats_.undo_bytes_peak.compare_exchange_weak(
+                                 peak, bytes, std::memory_order_relaxed)) {
+      }
       if (cfg_.mode == Mode::kUndoLog) {
-        record_undo(*txn, *mod);
-        const std::size_t bytes = txn->undo_wire_bytes;
-        std::size_t peak = stats_.undo_bytes_peak.load(std::memory_order_relaxed);
-        while (bytes > peak && !stats_.undo_bytes_peak.compare_exchange_weak(
-                                   peak, bytes, std::memory_order_relaxed)) {
-        }
         forward(msg);
       } else {
         txn->buffered.push_back(msg);
@@ -263,7 +265,9 @@ void NetLog::record_undo(Txn& txn, const of::FlowMod& mod) {
   // counters/idle clock — only the switch does. The paper's NetLog "stores
   // and maintains the timeout and counter information of a flow table entry
   // before deleting it": we model that pre-delete query by reading the live
-  // entry (record_undo runs before the delete is forwarded).
+  // entry (record_undo runs before the delete is forwarded). In delay-buffer
+  // mode the live entry outlives a rollback, and the counter cache stays
+  // empty (only an undo-log rollback fills it).
   auto live_entry = [&](const netsim::FlowEntry& e) -> const netsim::FlowEntry* {
     const netsim::SimSwitch* sw = net_.switch_at(mod.dpid);
     if (!sw || !sw->up()) return nullptr;
@@ -343,9 +347,10 @@ void NetLog::record_undo(Txn& txn, const of::FlowMod& mod) {
 }
 
 Status NetLog::commit(TxnId id) {
-  std::unique_ptr<Txn> txn = take_open(id);
-  if (!txn) return Error{Error::Code::kNotFound, "no open transaction"};
+  const Txn* open = find_open(id);
+  if (!open) return Error{Error::Code::kNotFound, "no open transaction"};
 
+  std::unique_ptr<Txn> txn;
   {
     // Cross-shard commit barrier: hold every touched switch's stripe (sorted
     // — deadlock-free against any other multi-stripe holder) so the barrier
@@ -354,16 +359,14 @@ Status NetLog::commit(TxnId id) {
     StripeGuard guard =
         cfg_.mode == Mode::kDelayBuffer
             ? StripeGuard::all(*this)
-            : StripeGuard(*this, txn->dpids);
+            : StripeGuard(*this, open->dpids);
+    // Leave the open set only under the stripes (here and in rollback), so
+    // a transaction whose writes a shadow holds is open whenever another
+    // commit's audit can run.
+    txn = take_open(id);
 
-    if (cfg_.mode == Mode::kDelayBuffer) {
-      // Release the bundle; shadows learn about the flow-mods now.
-      for (const auto& msg : txn->buffered) {
-        if (const auto* mod = msg.get_if<of::FlowMod>())
-          shadow_mut(mod->dpid).apply(*mod, net_.now());
-        forward(msg);
-      }
-    }
+    // Release a delay-buffer bundle (the shadows learned it at apply).
+    for (const auto& msg : txn->buffered) forward(msg);
     if (cfg_.barrier_on_commit) {
       for (const DatapathId d : txn->dpids)
         forward({next_xid_.fetch_add(1, std::memory_order_relaxed),
@@ -373,11 +376,20 @@ Status NetLog::commit(TxnId id) {
     // live switch table structure-for-structure (both digests are O(1) to
     // read). Divergence means the shadow drifted — e.g. the switch
     // idle-expired an entry the shadow kept alive, or dropped messages while
-    // down.
+    // down. A delay-buffer shadow is also ahead of its switch by the writes
+    // other open transactions still hold, so those switches are skipped (all
+    // stripes are held, so no lane can extend a dpid list meanwhile).
+    std::vector<DatapathId> held;
+    if (cfg_.mode == Mode::kDelayBuffer) {
+      std::lock_guard<std::mutex> lk(open_mu_);
+      for (const auto& [_, other] : open_)
+        held.insert(held.end(), other->dpids.begin(), other->dpids.end());
+    }
     std::uint64_t checks = 0, mismatches = 0;
     for (const DatapathId d : txn->dpids) {
       const netsim::SimSwitch* sw = net_.switch_at(d);
       if (!sw || !sw->up()) continue;
+      if (std::find(held.begin(), held.end(), d) != held.end()) continue;
       const netsim::FlowTable* sh = shadow(d);
       checks += 1;
       if (!sh || sh->logical_digest() != sw->table().logical_digest())
@@ -400,31 +412,35 @@ Status NetLog::commit(TxnId id) {
 }
 
 Status NetLog::rollback(TxnId id) {
-  std::unique_ptr<Txn> txn = take_open(id);
-  if (!txn) return Error{Error::Code::kNotFound, "no open transaction"};
+  const Txn* open = find_open(id);
+  if (!open) return Error{Error::Code::kNotFound, "no open transaction"};
 
-  if (cfg_.mode == Mode::kUndoLog) {
+  std::unique_ptr<Txn> txn;
+  {
     // Undo ops only name touched dpids, so the same sorted stripe set that
     // fences commit fences the whole inverse replay.
-    StripeGuard guard(*this, txn->dpids);
-    std::uint64_t applied = 0;
-    for (auto op = txn->undo.rbegin(); op != txn->undo.rend(); ++op) {
-      // Keep the shadow in lock-step with the switch.
-      shadow_mut(op->inverse.dpid).apply(op->inverse, net_.now());
-      forward({next_xid_.fetch_add(1, std::memory_order_relaxed), op->inverse});
-      applied += 1;
-      if (op->cache_counters && (op->packet_count || op->byte_count)) {
-        std::lock_guard<std::mutex> lk(cache_mu_);
-        CachedCounters& c = counter_cache_[CounterKey{
-            op->inverse.dpid, op->inverse.match, op->inverse.priority}];
-        c.packet_count += op->packet_count;
-        c.byte_count += op->byte_count;
+    StripeGuard guard(*this, open->dpids);
+    txn = take_open(id);
+    const std::uint64_t applied = undo_shadows(*txn);
+    // Undo-log mode sent the originals, so the switches need the inverses
+    // too; delay-buffer mode sent nothing, and its held messages simply
+    // evaporate with the Txn.
+    if (cfg_.mode == Mode::kUndoLog) {
+      for (auto op = txn->undo.rbegin(); op != txn->undo.rend(); ++op) {
+        forward({next_xid_.fetch_add(1, std::memory_order_relaxed), op->inverse});
+        if (op->cache_counters && (op->packet_count || op->byte_count)) {
+          std::lock_guard<std::mutex> lk(cache_mu_);
+          CachedCounters& c = counter_cache_[CounterKey{
+              op->inverse.dpid, op->inverse.match, op->inverse.priority}];
+          c.packet_count += op->packet_count;
+          c.byte_count += op->byte_count;
+        }
       }
-    }
-    if (cfg_.barrier_on_commit) {
-      for (const DatapathId d : txn->dpids)
-        forward({next_xid_.fetch_add(1, std::memory_order_relaxed),
-                 of::BarrierRequest{d}});
+      if (cfg_.barrier_on_commit) {
+        for (const DatapathId d : txn->dpids)
+          forward({next_xid_.fetch_add(1, std::memory_order_relaxed),
+                   of::BarrierRequest{d}});
+      }
     }
     // Verify the undo log actually inverted the transaction: each touched
     // shadow must be digest-identical to its pre-transaction state. This is
@@ -443,11 +459,32 @@ Status NetLog::rollback(TxnId id) {
     stats_.rollback_digest_mismatches.fetch_add(mismatches,
                                                 std::memory_order_relaxed);
   }
-  // Delay-buffer mode: held messages simply evaporate.
   stats_.rolled_back.fetch_add(txn->spans, std::memory_order_relaxed);
   if (txn_observer_)
     txn_observer_({TxnRecord::Kind::kRollback, id, txn->app, {}});
   return Status::success();
+}
+
+std::uint64_t NetLog::undo_shadows(const Txn& txn) {
+  for (auto op = txn.undo.rbegin(); op != txn.undo.rend(); ++op)
+    shadow_mut(op->inverse.dpid).apply(op->inverse, net_.now());
+  return txn.undo.size();
+}
+
+NetLog::VerifyView NetLog::verify_view(TxnId id) {
+  return VerifyView(*this, touched(id));
+}
+
+NetLog::VerifyView::VerifyView(NetLog& log, const std::vector<DatapathId>& dpids)
+    : guard_(log, dpids) {
+  tables_.reserve(dpids.size());
+  for (const DatapathId d : dpids) tables_.emplace_back(d, &log.shadow_mut(d));
+}
+
+const netsim::FlowTable* NetLog::VerifyView::table(DatapathId dpid) const {
+  for (const auto& [d, t] : tables_)
+    if (d == dpid) return t;
+  return nullptr;
 }
 
 NetLog::ReconcileOutcome NetLog::reconcile_in_flight() {
@@ -504,23 +541,17 @@ NetLog::ReconcileOutcome NetLog::reconcile_in_flight() {
       // tables that never changed. For the same reason the counter cache is
       // left untouched: no live entry was deleted, so there are no lost
       // ticks to preserve.
-      if (cfg_.mode == Mode::kUndoLog) {
-        std::uint64_t applied = 0;
-        for (auto op = txn->undo.rbegin(); op != txn->undo.rend(); ++op) {
-          shadow_mut(op->inverse.dpid).apply(op->inverse, net_.now());
-          applied += 1;
-        }
-        stats_.undo_ops_applied.fetch_add(applied, std::memory_order_relaxed);
-        // After the inverse replay every touched shadow should equal the live
-        // table again; residue means a partially-landed transaction (possible
-        // over a lossy wire, impossible with synchronous shipping).
-        for (const DatapathId d : txn->dpids) {
-          const netsim::SimSwitch* sw = net_.switch_at(d);
-          if (!sw || !sw->up()) continue;
-          const netsim::FlowTable* sh = shadow(d);
-          if (!sh || sh->logical_digest() != sw->table().logical_digest())
-            out.digest_mismatches += 1;
-        }
+      stats_.undo_ops_applied.fetch_add(undo_shadows(*txn),
+                                        std::memory_order_relaxed);
+      // After the inverse replay every touched shadow should equal the live
+      // table again; residue means a partially-landed transaction (possible
+      // over a lossy wire, impossible with synchronous shipping).
+      for (const DatapathId d : txn->dpids) {
+        const netsim::SimSwitch* sw = net_.switch_at(d);
+        if (!sw || !sw->up()) continue;
+        const netsim::FlowTable* sh = shadow(d);
+        if (!sh || sh->logical_digest() != sw->table().logical_digest())
+          out.digest_mismatches += 1;
       }
       stats_.rolled_back.fetch_add(txn->spans, std::memory_order_relaxed);
       out.txns_discarded += 1;
@@ -613,6 +644,14 @@ void NetLog::observe_northbound(const of::Message& msg) {
     std::lock_guard<std::mutex> lk(cache_mu_);
     counter_cache_.erase(CounterKey{fr->dpid, fr->match, fr->priority});
   }
+}
+
+void NetLog::resync_shadow(DatapathId dpid) {
+  StripeGuard guard(*this, dpid);
+  const netsim::SimSwitch* sw = net_.switch_at(dpid);
+  if (!sw || !sw->up()) return;
+  if (sw->table().empty() && !shadow(dpid)) return; // nothing to model yet
+  shadow_mut(dpid).restore_snapshot(sw->table().snapshot());
 }
 
 NetLog::Stats NetLog::stats() const {

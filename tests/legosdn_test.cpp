@@ -3,6 +3,8 @@
 // voting, clone failover, and delta debugging.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "apps/fault_injection.hpp"
 #include "apps/firewall.hpp"
 #include "apps/hub.hpp"
@@ -180,8 +182,8 @@ TEST(LegoController, ByzantineBlackHoleIsRolledBack) {
 // holds the whole bundle until commit, so at verification time the written
 // rules are not in the switch tables yet. The checker used to look the rules
 // up in the live tables, find nothing, and wave every byzantine transaction
-// through — poison rules reached the network unchecked. check_flow_mods now
-// verifies against an overlay of the would-be state.
+// through — poison rules reached the network unchecked. Verification now
+// reads NetLog's shadow tables, which learn every FlowMod at apply.
 TEST(LegoController, DelayBufferByzantineBlackHoleIsRolledBack) {
   auto net = netsim::Network::linear(2, 1);
   LegoConfig cfg;
@@ -204,6 +206,153 @@ TEST(LegoController, DelayBufferByzantineBlackHoleIsRolledBack) {
   }
   EXPECT_TRUE(invariant::InvariantChecker(*net).check_basic().empty());
   EXPECT_TRUE(send_and_pump(*net, c, 0, 1));
+}
+
+/// Emits a scripted FlowMod bundle for each packet-in, keyed by the packet's
+/// tp_dst. Stateless, so recovery is trivial.
+class ScriptedRulesApp : public ctl::App {
+public:
+  std::string name() const override { return "scripted-rules"; }
+  std::vector<ctl::EventType> subscriptions() const override {
+    return {ctl::EventType::kPacketIn};
+  }
+  ctl::Disposition handle_event(const ctl::Event& e, ctl::ServiceApi& api) override {
+    if (const auto* pin = std::get_if<of::PacketIn>(&e)) {
+      if (const auto it = script.find(pin->packet.hdr.tp_dst); it != script.end()) {
+        for (const auto& mod : it->second) api.send({api.next_xid(), mod});
+      }
+    }
+    return ctl::Disposition::kContinue;
+  }
+
+  std::map<std::uint16_t, std::vector<of::FlowMod>> script;
+};
+
+/// A southbound that queues what NetLog sends and delivers it only on
+/// flush(), the way a loaded wire lags: a committed FlowMod can still be in
+/// flight when the next transaction is verified.
+struct LaggingSouthbound {
+  explicit LaggingSouthbound(netsim::Network& n, LegoController& c) : net(n) {
+    c.netlog().set_southbound([this](const of::Message& m) { queue.push_back(m); });
+  }
+  void flush() {
+    auto msgs = std::move(queue);
+    queue.clear();
+    for (const auto& m : msgs) net.send_to_switch(m);
+  }
+  netsim::Network& net;
+  std::vector<of::Message> queue;
+};
+
+of::FlowMod rule_at_s1(of::FlowModCommand cmd, std::uint16_t prio, PortNo out) {
+  of::FlowMod mod;
+  mod.dpid = DatapathId{1};
+  mod.command = cmd;
+  mod.match = of::Match{}.with_tp_dst(7);
+  mod.priority = prio;
+  if (cmd != of::FlowModCommand::kDeleteStrict) mod.actions = of::output_to(out);
+  return mod;
+}
+
+void punt_at_s1(LegoController& c, std::uint16_t tp_dst) {
+  of::PacketIn pin;
+  pin.dpid = DatapathId{1};
+  pin.in_port = PortNo{1};
+  pin.packet = legosdn::test::packet_between(MacAddress::from_uint64(1),
+                                             MacAddress::from_uint64(2), tp_dst);
+  c.inject_event(ctl::Event{pin});
+  while (c.run() > 0) {
+  }
+}
+
+// Over a lagging southbound, s1's live table still holds a priority-200 rule
+// whose committed delete is in flight. The next transaction writes a
+// priority-100 black-hole under it: once the delete lands, that rule carries
+// the traffic, so verification must judge it against NetLog's shadow of s1
+// (the delete applied), not against the stale live table that hides it.
+TEST(LegoController, InFlightDeleteUnshadowingBlackHoleIsRolledBack) {
+  auto net = netsim::Network::linear(2, 1);
+  LegoController c(*net);
+  auto app = std::make_shared<ScriptedRulesApp>();
+  app->script[1] = {rule_at_s1(of::FlowModCommand::kAdd, 200, PortNo{1})};
+  app->script[2] = {rule_at_s1(of::FlowModCommand::kDeleteStrict, 200, PortNo{1})};
+  app->script[3] = {rule_at_s1(of::FlowModCommand::kAdd, 100, PortNo{0xEE00})};
+  c.add_app(app);
+  LaggingSouthbound wire(*net, c);
+  ASSERT_TRUE(c.start_system());
+  c.run();
+
+  punt_at_s1(c, 1);
+  wire.flush(); // the priority-200 rule is live at s1
+  punt_at_s1(c, 2); // its delete is committed but still on the wire
+  ASSERT_EQ(net->switch_at(DatapathId{1})->table().size(), 1u);
+  punt_at_s1(c, 3);
+  EXPECT_EQ(c.lego_stats().txns_committed, 2u);
+  EXPECT_EQ(c.lego_stats().byzantine_failures, 1u);
+  EXPECT_EQ(c.lego_stats().txns_rolled_back, 1u);
+
+  wire.flush();
+  for (const auto& e : net->switch_at(DatapathId{1})->table().entries()) {
+    EXPECT_FALSE(e.outputs_to(PortNo{0xEE00}));
+  }
+  EXPECT_TRUE(invariant::InvariantChecker(*net).check_basic().empty());
+}
+
+// The converse: a low-priority backup rule into a down link sits under a
+// priority-200 rule whose add is committed but still on the wire. It never
+// carries traffic, so it is not blamed — the stale live table, which lacks
+// the priority-200 rule, would make it look like a black-hole.
+TEST(LegoController, RuleUnderInFlightHigherPriorityRuleIsNotBlamed) {
+  auto net = netsim::Network::linear(2, 1);
+  net->set_link_state({DatapathId{1}, PortNo{3}}, false); // s1 -- s2 down
+  LegoController c(*net);
+  auto app = std::make_shared<ScriptedRulesApp>();
+  app->script[1] = {rule_at_s1(of::FlowModCommand::kAdd, 200, PortNo{1})};
+  app->script[2] = {rule_at_s1(of::FlowModCommand::kAdd, 100, PortNo{3})};
+  c.add_app(app);
+  LaggingSouthbound wire(*net, c);
+  ASSERT_TRUE(c.start_system());
+  c.run();
+
+  punt_at_s1(c, 1); // committed, still on the wire
+  ASSERT_TRUE(net->switch_at(DatapathId{1})->table().empty());
+  punt_at_s1(c, 2);
+  EXPECT_EQ(c.lego_stats().byzantine_failures, 0u);
+  EXPECT_EQ(c.lego_stats().txns_rolled_back, 0u);
+  EXPECT_EQ(c.lego_stats().txns_committed, 2u);
+
+  wire.flush();
+  EXPECT_EQ(net->switch_at(DatapathId{1})->table().size(), 2u);
+  EXPECT_TRUE(invariant::InvariantChecker(*net).check_basic().empty());
+}
+
+// A switch that bounces comes back with an empty table and reports no
+// flow-removed. Its NetLog shadow is re-seeded on SwitchUp, so the verifier
+// does not trace a new black-hole against a stale rule that no longer
+// exists at the switch.
+TEST(LegoController, SwitchBounceResyncsShadowBeforeVerifying) {
+  auto net = netsim::Network::linear(2, 1);
+  LegoController c(*net);
+  auto app = std::make_shared<ScriptedRulesApp>();
+  app->script[1] = {rule_at_s1(of::FlowModCommand::kAdd, 200, PortNo{1})};
+  app->script[2] = {rule_at_s1(of::FlowModCommand::kAdd, 100, PortNo{0xEE00})};
+  c.add_app(app);
+  ASSERT_TRUE(c.start_system());
+  c.run();
+
+  punt_at_s1(c, 1);
+  ASSERT_EQ(c.netlog().shadow(DatapathId{1})->size(), 1u);
+  net->set_switch_state(DatapathId{1}, false);
+  net->set_switch_state(DatapathId{1}, true);
+  while (c.run() > 0) {
+  }
+  EXPECT_TRUE(net->switch_at(DatapathId{1})->table().empty());
+  EXPECT_TRUE(c.netlog().shadow(DatapathId{1})->empty());
+
+  punt_at_s1(c, 2);
+  EXPECT_EQ(c.lego_stats().byzantine_failures, 1u);
+  EXPECT_EQ(c.lego_stats().txns_rolled_back, 1u);
+  EXPECT_TRUE(invariant::InvariantChecker(*net).check_basic().empty());
 }
 
 TEST(LegoController, ByzantineDropAllIsRolledBack) {

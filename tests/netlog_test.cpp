@@ -412,6 +412,50 @@ TEST(NetLog, DelayBufferRollbackDiscards) {
   EXPECT_EQ(net->totals().injected, 0u); // the packet-out never ran
 }
 
+// Delay-buffer mode holds FlowMods from the switch, but the shadow learns
+// them at apply: it is the would-be table the byzantine verifier reads.
+// Rollback replays the inverses against the shadow only, back to the exact
+// pre-transaction digest, and is audited like an undo-log rollback.
+TEST(NetLog, DelayBufferShadowLearnsAtApplyAndRollsBack) {
+  auto net = netsim::Network::linear(2, 1);
+  NetLog log(*net, {Mode::kDelayBuffer, false});
+  const DatapathId s1{1};
+  const of::FlowMod base = add_rule(s1, of::Match{}.with_tp_dst(80), 100, PortNo{3});
+  const TxnId t0 = log.begin(AppId{1});
+  log.apply(t0, {1, base});
+  ASSERT_TRUE(log.commit(t0));
+  const std::uint64_t pre = log.shadow(s1)->logical_digest();
+  const auto before = log.stats();
+
+  const TxnId t1 = log.begin(AppId{1});
+  const of::FlowMod pending = add_rule(s1, of::Match{}.with_tp_dst(443), 200, PortNo{1});
+  of::FlowMod del = base;
+  del.command = of::FlowModCommand::kDeleteStrict;
+  log.apply(t1, {2, pending});
+  log.apply(t1, {3, del});
+  // Held from the switch, visible in the shadow.
+  EXPECT_EQ(net->switch_at(s1)->table().size(), 1u);
+  const netsim::FlowTable* shadow = log.shadow(s1);
+  ASSERT_NE(shadow, nullptr);
+  EXPECT_NE(shadow->find_strict(pending.match, pending.priority), nullptr);
+  EXPECT_EQ(shadow->find_strict(base.match, base.priority), nullptr);
+  {
+    const NetLog::VerifyView view = log.verify_view(t1);
+    EXPECT_EQ(view.table(s1), shadow);
+    EXPECT_EQ(view.table(DatapathId{2}), nullptr); // not written: live
+  }
+
+  ASSERT_TRUE(log.rollback(t1));
+  EXPECT_EQ(log.shadow(s1)->logical_digest(), pre);
+  EXPECT_EQ(log.shadow(s1)->logical_digest(),
+            net->switch_at(s1)->table().logical_digest());
+  EXPECT_EQ(net->switch_at(s1)->table().size(), 1u); // nothing was sent
+  const auto after = log.stats();
+  EXPECT_EQ(after.rollback_digest_checks, before.rollback_digest_checks + 1);
+  EXPECT_EQ(after.rollback_digest_mismatches, 0u);
+  EXPECT_EQ(after.undo_ops_applied, before.undo_ops_applied + 2);
+}
+
 TEST(NetLog, BarrierSentOnCommitWhenConfigured) {
   auto net = netsim::Network::linear(2, 1);
   std::vector<of::Message> nb;

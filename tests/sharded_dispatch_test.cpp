@@ -314,11 +314,17 @@ TEST(ShardedDispatcher, BatchSubmitAmortizesLockAcquisitions) {
 /// shard lanes. Each PacketIn also installs one rule at its own switch and a
 /// mirror rule at a content-chosen other switch — a cross-shard transaction
 /// through the NetLog stripe locks. All matches embed the (unique) event tag,
-/// so final table contents are order-independent by construction.
+/// so final table contents are order-independent by construction. With a
+/// nonzero `byzantine_mod`, PacketIns whose hash hits that predicate also
+/// emit a black-hole rule at their own switch — a violation whatever the
+/// other lanes committed, so verification verdicts are interleaving-free.
 class ShardProbeApp : public ctl::App {
 public:
-  ShardProbeApp(std::vector<DatapathId> switches, std::uint64_t poison_mod)
-      : switches_(std::move(switches)), poison_mod_(poison_mod) {}
+  ShardProbeApp(std::vector<DatapathId> switches, std::uint64_t poison_mod,
+                std::uint64_t byzantine_mod = 0)
+      : switches_(std::move(switches)),
+        poison_mod_(poison_mod),
+        byzantine_mod_(byzantine_mod) {}
 
   std::string name() const override { return "shard-probe"; }
 
@@ -329,7 +335,7 @@ public:
   }
 
   ctl::AppPtr clone() const override {
-    return std::make_shared<ShardProbeApp>(switches_, poison_mod_);
+    return std::make_shared<ShardProbeApp>(switches_, poison_mod_, byzantine_mod_);
   }
 
   ctl::Disposition handle_event(const ctl::Event& e, ctl::ServiceApi& api) override {
@@ -384,6 +390,17 @@ public:
     mirror.priority = static_cast<std::uint16_t>(0x4000 + (h >> 4) % 0x3FF);
     mirror.actions = of::output_to(PortNo{1});
     api.send({api.next_xid(), mirror});
+
+    if (byzantine_mod_ && h % byzantine_mod_ == 1) {
+      of::PacketHeader bh = pin->packet.hdr;
+      bh.tp_src = 0x0BAD; // its own identity, never shadowed
+      of::FlowMod bad;
+      bad.dpid = pin->dpid;
+      bad.match = of::Match::exact(pin->in_port, bh);
+      bad.priority = 0x4000;
+      bad.actions = of::output_to(PortNo{0xEE00}); // no such port
+      api.send({api.next_xid(), bad});
+    }
     return ctl::Disposition::kContinue;
   }
 
@@ -419,6 +436,7 @@ private:
   std::map<std::uint64_t, std::uint64_t> buckets_;
   std::vector<DatapathId> switches_;
   std::uint64_t poison_mod_;
+  std::uint64_t byzantine_mod_;
 };
 
 /// Everything a scenario run must agree on across shard counts.
@@ -428,10 +446,14 @@ struct Outcome {
   std::uint64_t netlog_begun = 0;
   std::uint64_t netlog_committed = 0;
   std::uint64_t netlog_rolled_back = 0;
+  /// Commit-time shadow-vs-switch audit failures; 0 in every arm.
+  std::uint64_t shadow_sync_mismatches = 0;
   std::uint64_t failstop_crashes = 0;
   std::uint64_t recoveries = 0;
   std::uint64_t events_ignored = 0;
   std::uint64_t txns_committed = 0;
+  std::uint64_t byzantine_failures = 0;
+  std::uint64_t txns_rolled_back = 0;
   std::size_t recorder_events = 0;
   std::size_t probe_entries = 0;
   std::vector<std::string> traces; ///< forwarding traces over the final tables
@@ -458,21 +480,32 @@ struct ChurnFlow {
   of::Packet packet{};
 };
 
-Outcome run_scenario(std::uint64_t seed, std::size_t shards) {
+/// NetLog mode and verification of one differential arm.
+struct Arm {
+  netlog::Mode mode = netlog::Mode::kUndoLog;
+  /// Byzantine detection plus the probe's black-hole predicate. With no
+  /// must_reach pairs, verification traces only each transaction's own
+  /// rules, whose verdicts no interleaving can change.
+  bool detection = false;
+};
+
+Outcome run_scenario(std::uint64_t seed, std::size_t shards, Arm arm = {}) {
   auto net = netsim::Network::fat_tree(4); // 20 switches, 16 hosts
   LegoConfig cfg;
   cfg.dispatch.shards = shards;
-  // The verification baseline is a whole-network reachability trace, which is
-  // a function of *which* commits landed before the verifying transaction —
-  // legitimately different between interleavings. The differential pins down
-  // the commit path itself, so verification stays off here.
-  cfg.byzantine_detection = false;
+  cfg.netlog.mode = arm.mode;
+  // A reachability baseline is a whole-network trace, which is a function of
+  // *which* commits landed before the verifying transaction — legitimately
+  // different between interleavings. The default arm pins down the commit
+  // path itself, so verification stays off there.
+  cfg.byzantine_detection = arm.detection;
   // Synchronous encodes keep restore points exact, so the recovery replay
   // span is empty in both modes and the oracle compares pure event effects.
   cfg.checkpoint.async = false;
   LegoController c(*net, cfg);
 
-  c.add_app(std::make_shared<ShardProbeApp>(net->switch_ids(), /*poison_mod=*/23));
+  c.add_app(std::make_shared<ShardProbeApp>(net->switch_ids(), /*poison_mod=*/23,
+                                            /*byzantine_mod=*/arm.detection ? 11 : 0));
   auto recorder = std::make_shared<RecorderApp>(
       "recorder", std::vector<ctl::EventType>{ctl::EventType::kPacketIn});
   c.add_app(recorder); // not cloneable: reached from every lane, serialized
@@ -550,11 +583,14 @@ Outcome run_scenario(std::uint64_t seed, std::size_t shards) {
   out.netlog_begun = ns.begun;
   out.netlog_committed = ns.committed;
   out.netlog_rolled_back = ns.rolled_back;
+  out.shadow_sync_mismatches = ns.shadow_sync_mismatches;
   const auto ls = c.lego_stats();
   out.failstop_crashes = ls.failstop_crashes;
   out.recoveries = ls.recoveries;
   out.events_ignored = ls.events_ignored;
   out.txns_committed = ls.txns_committed;
+  out.byzantine_failures = ls.byzantine_failures;
+  out.txns_rolled_back = ls.txns_rolled_back;
   out.recorder_events = recorder->events.size();
   return out;
 }
@@ -567,10 +603,15 @@ void expect_equal(const Outcome& serial, const Outcome& sharded,
   EXPECT_EQ(serial.netlog_committed, sharded.netlog_committed) << "seed " << seed;
   EXPECT_EQ(serial.netlog_rolled_back, sharded.netlog_rolled_back)
       << "seed " << seed;
+  EXPECT_EQ(serial.shadow_sync_mismatches, sharded.shadow_sync_mismatches)
+      << "seed " << seed;
   EXPECT_EQ(serial.failstop_crashes, sharded.failstop_crashes) << "seed " << seed;
   EXPECT_EQ(serial.recoveries, sharded.recoveries) << "seed " << seed;
   EXPECT_EQ(serial.events_ignored, sharded.events_ignored) << "seed " << seed;
   EXPECT_EQ(serial.txns_committed, sharded.txns_committed) << "seed " << seed;
+  EXPECT_EQ(serial.byzantine_failures, sharded.byzantine_failures)
+      << "seed " << seed;
+  EXPECT_EQ(serial.txns_rolled_back, sharded.txns_rolled_back) << "seed " << seed;
   EXPECT_EQ(serial.recorder_events, sharded.recorder_events) << "seed " << seed;
   EXPECT_EQ(serial.traces, sharded.traces) << "seed " << seed;
 }
@@ -618,6 +659,30 @@ TEST(ShardDifferential, TwoShardsAlsoConverge) {
   for (std::size_t i = 0; i < 8; ++i) {
     const std::uint64_t seed = kBaseSeed + 100 + i;
     expect_equal(run_scenario(seed, 1), run_scenario(seed, 2), seed);
+  }
+}
+
+TEST(ShardDifferential, DelayBufferConverges) {
+  // Delay-buffer NetLog: shadows learn each held FlowMod at apply, the
+  // verifier reads them, and a rollback replays inverses against the shadows
+  // only. Serial and 4-lane runs must still agree on every verdict and on
+  // the final tables. Without detection, transactions on different lanes
+  // hold writes to the same shadow at once; the commit-time audit must not
+  // mistake those for drift.
+  for (const bool detection : {true, false}) {
+    const Arm arm{netlog::Mode::kDelayBuffer, detection};
+    for (std::size_t i = 0; i < 8; ++i) {
+      const std::uint64_t seed = kBaseSeed + 200 + i;
+      const Outcome serial = run_scenario(seed, 1, arm);
+      const Outcome sharded = run_scenario(seed, 4, arm);
+      if (detection) {
+        EXPECT_GT(serial.byzantine_failures, 0u) << "seed " << seed;
+        EXPECT_EQ(serial.txns_rolled_back, serial.byzantine_failures)
+            << "seed " << seed;
+      }
+      EXPECT_EQ(sharded.shadow_sync_mismatches, 0u) << "seed " << seed;
+      expect_equal(serial, sharded, seed);
+    }
   }
 }
 
