@@ -15,9 +15,10 @@
 //                            shadows, and switch tables all live -> the
 //                            outage is the reconcile + re-announce window
 //
-// The headline is monolithic warm-time / replicated warm-time. Virtual-time
-// cost model matches bench_upgrade (punt=500us, rule hit=5us), so the two
-// benches' numbers are directly comparable.
+// The headline is monolithic warm-time / replicated warm-time. The first
+// two stories are experiment C6 (§3.4, controller upgrade) in virtual time:
+// punt=500us, rule hit=5us. examples/scenarios/claims/c6_*.scn assert the
+// same shape (fewer punts after a LegoSDN restart) without the cost model.
 #include "apps/learning_switch.hpp"
 #include "appvisor/inprocess_domain.hpp"
 #include "bench_util.hpp"

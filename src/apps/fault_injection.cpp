@@ -20,7 +20,15 @@ bool TriggerState::fire(const ctl::Event& e) {
   if (healed_ || !trigger_.matches(e)) return false;
   matched_ += 1;
   if (matched_ <= trigger_.skip_first) return false;
-  if (trigger_.probability < 1.0 && !rng_.chance(trigger_.probability)) return false;
+  if (trigger_.probability < 1.0) {
+    // FNV-1a over the event's rendering, keyed by the seed. Not a draw from
+    // a sequence: replay after a restore re-delivers a timing-dependent
+    // number of logged events, and must reach the same decisions.
+    std::uint64_t h = seed_ ^ 0xCBF29CE484222325ULL;
+    for (const char c : ctl::describe(e))
+      h = (h ^ static_cast<std::uint8_t>(c)) * 0x100000001B3ULL;
+    if (!Rng(h).chance(trigger_.probability)) return false;
+  }
   fired_ += 1;
   if (!trigger_.deterministic) healed_ = true; // transient bug: fires once
   return true;

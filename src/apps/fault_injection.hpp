@@ -27,7 +27,10 @@ struct CrashTrigger {
   std::optional<std::uint16_t> on_tp_dst; ///< packet-in destination-port filter
   std::uint64_t skip_first = 0;           ///< let this many matching events pass
   bool deterministic = true;              ///< false: bug heals after first firing
-  double probability = 1.0;               ///< firing probability once matched
+  /// Share of matching events that fire. Decided per event by a seeded
+  /// hash of the event itself, so the same event always fires or never
+  /// does: a recovery's replay cannot change the answer.
+  double probability = 1.0;
 
   /// Pure predicate (no occurrence counting).
   bool matches(const ctl::Event& e) const;
@@ -37,7 +40,7 @@ struct CrashTrigger {
 class TriggerState {
 public:
   TriggerState(CrashTrigger trigger, std::uint64_t seed)
-      : trigger_(trigger), rng_(seed) {}
+      : trigger_(trigger), seed_(seed) {}
 
   /// Evaluate the trigger against an event, advancing occurrence counters.
   bool fire(const ctl::Event& e);
@@ -52,7 +55,7 @@ public:
 
 private:
   CrashTrigger trigger_;
-  Rng rng_;
+  std::uint64_t seed_;
   std::uint64_t matched_ = 0;
   std::uint64_t fired_ = 0;
   bool healed_ = false;

@@ -48,7 +48,7 @@ LegoController::~LegoController() { visor_.shutdown_all(); }
 
 AppId LegoController::add_app(ctl::AppPtr app) {
   const std::size_t shards = cfg_.dispatch.shards;
-  if (shards > 1 && cfg_.dispatch.clone_apps && app->clone() != nullptr) {
+  if (shards > 1 && app->clone() != nullptr) {
     // Dpid-partitionable state: one clone per shard, each a full citizen —
     // own AppId, isolation domain, checkpoint chain, event log, recovery.
     // The clone on lane s only ever sees events whose dpid hashes to s, so

@@ -61,11 +61,10 @@ struct LegoConfig {
   /// onto lanes, cross-switch events run under a stop-the-world barrier, and
   /// NetLog commits serialize per switch through its stripe locks.
   struct DispatchConfig {
+    /// Apps whose state partitions by dpid (App::clone() != nullptr) run one
+    /// clone per shard; non-cloneable apps get one instance serialized by a
+    /// per-entry lock instead.
     std::size_t shards = 1;
-    /// Run one clone per shard for apps whose state partitions by dpid
-    /// (App::clone() != nullptr); non-cloneable apps get one instance
-    /// serialized by a per-entry lock instead.
-    bool clone_apps = true;
     /// Commit coalescing (DESIGN.md §4.7): within one drained lane batch,
     /// consecutive transactions of the same app share a single NetLog
     /// begin/commit (logical spans keep begun/committed stats identical to

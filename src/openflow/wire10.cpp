@@ -394,8 +394,7 @@ namespace {
 Status put_message(const Message& msg, ByteWriter& w) {
   const std::size_t start = w.size();
   const std::uint32_t xid = msg.xid;
-  bool unsupported = false;
-  std::string what;
+  std::string refused; ///< why msg has no OF 1.0 encoding, if it has none
 
   std::visit(
       [&](const auto& m) {
@@ -420,6 +419,12 @@ Status put_message(const Message& msg, ByteWriter& w) {
           w.u32(0x00000FFF); // supported actions bitmap
           for (const auto& p : m.ports) put_phy_port(p, w);
         } else if constexpr (std::is_same_v<T, PacketIn>) {
+          if (m.packet.size_bytes > 0xFFFF) {
+            // ofp_packet_in.total_len is 16 bits: refuse, never wrap it.
+            refused = "packet-in of " + std::to_string(m.packet.size_bytes) +
+                      " bytes exceeds the 16-bit total_len";
+            return;
+          }
           put_header(w, OfpType::kPacketIn, xid);
           w.u32(m.buffer_id);
           w.u16(static_cast<std::uint16_t>(m.packet.size_bytes));
@@ -561,13 +566,11 @@ Status put_message(const Message& msg, ByteWriter& w) {
               reinterpret_cast<const std::uint8_t*>(m.detail.data()),
               m.detail.size()));
         } else {
-          unsupported = true;
-          what = type_name(msg.body);
+          refused = "no OF1.0 encoding for " + type_name(msg.body);
         }
       },
       msg.body);
-  if (unsupported)
-    return Error{Error::Code::kUnsupported, "no OF1.0 encoding for " + what};
+  if (!refused.empty()) return Error{Error::Code::kUnsupported, refused};
   const std::size_t len = w.size() - start;
   if (len > kMaxFrameLen)
     return Error{Error::Code::kUnsupported,

@@ -24,7 +24,8 @@
 //    frame with zeros to size_bytes. Internal round-trips are lossless
 //    while remaining valid frames for external tools.
 //  - A frame longer than kMaxFrameLen is refused (kUnsupported), never
-//    truncated: ofp_header.length is 16 bits.
+//    truncated: ofp_header.length is 16 bits. So is a packet-in whose
+//    size_bytes exceeds the 16-bit total_len.
 #pragma once
 
 #include <span>

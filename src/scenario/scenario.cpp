@@ -3,7 +3,6 @@
 #include <charconv>
 #include <map>
 #include <optional>
-#include <cstdlib>
 #include <set>
 #include <sstream>
 
@@ -75,7 +74,20 @@ std::optional<bool> parse_state(std::string_view s) {
   return std::nullopt;
 }
 
-bool compare(std::uint64_t lhs, const std::string& op, std::uint64_t rhs) {
+std::optional<double> parse_double(std::string_view s) {
+  double v = 0;
+  const auto* end = s.data() + s.size();
+  auto [p, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || p != end) return std::nullopt;
+  return v;
+}
+
+/// Upper bound on a 'repeat' count, so a typo cannot unroll a script into
+/// millions of commands.
+constexpr std::uint64_t kMaxRepeat = 10'000;
+
+template <typename T>
+bool compare(T lhs, const std::string& op, T rhs) {
   if (op == "==") return lhs == rhs;
   if (op == "!=") return lhs != rhs;
   if (op == ">=") return lhs >= rhs;
@@ -103,7 +115,18 @@ Result<Scenario> Scenario::parse(std::string_view text) {
   // script's own sequencing, not the event queue).
   static const std::set<std::string> kSchedulable = {"switch", "link", "send",
                                                      "traffic", "leader"};
+  auto error_at = [](std::size_t line, const std::string& why) {
+    return Error{Error::Code::kParse, "scenario line " + std::to_string(line) + ": " + why};
+  };
   Scenario sc;
+  // The open 'repeat' block (count 0: none): its line, count and first body
+  // command. Blocks are unrolled at 'end', so run() never sees them and every
+  // copy keeps its original line number.
+  struct {
+    std::size_t line = 0;
+    std::uint64_t count = 0;
+    std::size_t body_begin = 0;
+  } repeat;
   std::size_t line_no = 0;
   std::size_t pos = 0;
   while (pos <= text.size()) {
@@ -114,36 +137,49 @@ Result<Scenario> Scenario::parse(std::string_view text) {
     line_no += 1;
     auto tokens = tokenize(line);
     if (tokens.empty()) continue;
-    auto it = kMinArity.find(tokens[0]);
-    if (it == kMinArity.end()) {
-      return Error{Error::Code::kParse, "scenario line " + std::to_string(line_no) +
-                                            ": unknown command '" + tokens[0] + "'"};
+    if (tokens[0] == "repeat") {
+      if (repeat.count)
+        return error_at(line_no, "nested 'repeat' (block opened at line " +
+                                     std::to_string(repeat.line) + ")");
+      const auto n = parse_uint(tokens.size() > 1 ? tokens[1] : "");
+      if (!n || *n == 0 || *n > kMaxRepeat)
+        return error_at(line_no, "'repeat' needs a count in 1.." +
+                                     std::to_string(kMaxRepeat));
+      repeat = {line_no, *n, sc.commands_.size()};
+      continue;
     }
+    if (tokens[0] == "end") {
+      if (!repeat.count) return error_at(line_no, "'end' without 'repeat'");
+      const std::size_t body_end = sc.commands_.size();
+      sc.commands_.reserve(body_end + (repeat.count - 1) * (body_end - repeat.body_begin));
+      for (std::uint64_t i = 1; i < repeat.count; ++i)
+        for (std::size_t c = repeat.body_begin; c < body_end; ++c)
+          sc.commands_.push_back(sc.commands_[c]);
+      repeat.count = 0;
+      continue;
+    }
+    auto it = kMinArity.find(tokens[0]);
+    if (it == kMinArity.end())
+      return error_at(line_no, "unknown command '" + tokens[0] + "'");
     if (tokens.size() < it->second) {
-      return Error{Error::Code::kParse, "scenario line " + std::to_string(line_no) +
-                                            ": '" + tokens[0] + "' needs at least " +
-                                            std::to_string(it->second - 1) +
-                                            " argument(s)"};
+      return error_at(line_no, "'" + tokens[0] + "' needs at least " +
+                                   std::to_string(it->second - 1) + " argument(s)");
     }
     if (tokens[0] == "at") {
       // Shape-check the scheduled command here too, so a bad nested command
       // fails at parse time with this line's number.
       const std::string& nested = tokens[2];
-      if (!kSchedulable.contains(nested)) {
-        return Error{Error::Code::kParse,
-                     "scenario line " + std::to_string(line_no) + ": '" + nested +
-                         "' cannot be scheduled with 'at'"};
-      }
+      if (!kSchedulable.contains(nested))
+        return error_at(line_no, "'" + nested + "' cannot be scheduled with 'at'");
       const std::size_t nested_arity = kMinArity.at(nested);
       if (tokens.size() - 2 < nested_arity) {
-        return Error{Error::Code::kParse,
-                     "scenario line " + std::to_string(line_no) + ": scheduled '" +
-                         nested + "' needs at least " +
-                         std::to_string(nested_arity - 1) + " argument(s)"};
+        return error_at(line_no, "scheduled '" + nested + "' needs at least " +
+                                     std::to_string(nested_arity - 1) + " argument(s)");
       }
     }
     sc.commands_.push_back({line_no, std::move(tokens), std::string(line)});
   }
+  if (repeat.count) return error_at(repeat.line, "'repeat' without 'end'");
   return sc;
 }
 
@@ -199,9 +235,9 @@ private:
     return true;
   }
 
-  /// Build the canonical scenario packet (TCP, well-known IPs/MACs) between
-  /// two host indices and push it through the dataplane + controller.
-  void inject_pair(std::size_t s, std::size_t d, std::uint16_t tp) {
+  /// The canonical scenario packet (TCP, well-known IPs/MACs) between two
+  /// host indices.
+  of::Packet pair_packet(std::size_t s, std::size_t d, std::uint16_t tp) const {
     of::Packet p;
     p.hdr.eth_src = net_->hosts()[s].mac;
     p.hdr.eth_dst = net_->hosts()[d].mac;
@@ -211,8 +247,24 @@ private:
     p.hdr.ip_proto = of::kIpProtoTcp;
     p.hdr.tp_src = 50000;
     p.hdr.tp_dst = tp;
+    return p;
+  }
+
+  /// Push a packet from its source host through the dataplane + controller;
+  /// true when its destination host's rx counter rose.
+  bool inject(const of::Packet& p) {
+    const netsim::Host* dst = net_->host_by_mac(p.hdr.eth_dst);
+    const std::uint64_t before = dst ? dst->rx_packets : 0;
     net_->inject_from_host(p.hdr.eth_src, p);
     drain();
+    return dst && dst->rx_packets > before;
+  }
+
+  /// A packet the script offers ('send', 'traffic'): counted toward
+  /// 'expect availability'. The final-state probes bypass this.
+  void offer(const of::Packet& p) {
+    result_.offered += 1;
+    if (inject(p)) result_.served += 1;
   }
 
   /// Final-state capture for differential comparison: controller liveness,
@@ -237,33 +289,12 @@ private:
       result_.switch_digests.push_back(
           net_->switch_at(dpid)->table().logical_digest());
     }
-    if (std::getenv("LEGOSDN_SCN_DUMP_TABLES")) {
-      for (const DatapathId dpid : net_->switch_ids()) {
-        const auto* sw = net_->switch_at(dpid);
-        log_ << "TABLE s" << raw(dpid) << (sw->up() ? "" : " (down)") << "\n";
-        for (const auto& e : sw->table().entries()) {
-          std::string acts;
-          for (const auto& a : e.actions) {
-            if (const auto* o = std::get_if<of::ActionOutput>(&a))
-              acts += " out:" + std::to_string(raw(o->port));
-            else
-              acts += " act";
-          }
-          log_ << "  " << e.match.to_string() << " prio=" << e.priority
-               << " idle=" << e.idle_timeout << acts << "\n";
-        }
-      }
-    }
     const std::size_t n = net_->hosts().size();
     result_.n_hosts = n;
     result_.reachability.assign(n * n, 0);
     for (std::size_t s = 0; s < n; ++s) {
       for (std::size_t d = 0; d < n; ++d) {
-        if (s == d) continue;
-        const std::uint64_t before = net_->hosts()[d].rx_packets;
-        inject_pair(s, d, 80);
-        result_.reachability[s * n + d] =
-            net_->hosts()[d].rx_packets > before ? 1 : 0;
+        if (s != d) result_.reachability[s * n + d] = inject(pair_packet(s, d, 80)) ? 1 : 0;
       }
     }
   }
@@ -348,6 +379,11 @@ private:
       if (!v) return fail(cmd, "bad skip");
       out->skip_first = *v;
     }
+    if (auto p = find_arg(cmd.tokens, from, "prob")) {
+      auto v = parse_double(*p);
+      if (!v || !(*v > 0.0 && *v <= 1.0)) return fail(cmd, "bad prob (want 0 < p <= 1)");
+      out->probability = *v;
+    }
     if (has_flag(cmd.tokens, from, "transient")) out->deterministic = false;
     return true;
   }
@@ -407,7 +443,7 @@ private:
         for (std::size_t s = 0; s < hosts; ++s) {
           for (std::size_t d = 0; d < hosts; ++d) {
             if (s == d) continue;
-            inject_pair(s, d, 80);
+            offer(pair_packet(s, d, 80));
             ++sent;
           }
         }
@@ -438,10 +474,7 @@ private:
     }
     traffic_seq_ += 1;
     netsim::TrafficGenerator gen(*net_, pat, seed);
-    for (auto& [src, pkt] : gen.batch(*n, repeats)) {
-      net_->inject_from_host(src, pkt);
-      drain();
-    }
+    for (const auto& flow : gen.batch(*n, repeats)) offer(flow.second);
     log_ << "traffic " << pattern << " " << *n << " x" << repeats << "\n";
     return true;
   }
@@ -654,17 +687,7 @@ private:
         if (!v) return fail(cmd, "bad tp_dst");
         tp = static_cast<std::uint16_t>(*v);
       }
-      of::Packet p;
-      p.hdr.eth_src = net_->hosts()[*s].mac;
-      p.hdr.eth_dst = net_->hosts()[*d].mac;
-      p.hdr.eth_type = of::kEthTypeIpv4;
-      p.hdr.ip_src = net_->hosts()[*s].ip;
-      p.hdr.ip_dst = net_->hosts()[*d].ip;
-      p.hdr.ip_proto = of::kIpProtoTcp;
-      p.hdr.tp_src = 50000;
-      p.hdr.tp_dst = tp;
-      net_->inject_from_host(p.hdr.eth_src, p);
-      drain();
+      offer(pair_packet(*s, *d, tp));
       log_ << "send h" << *s << " -> h" << *d << " :" << tp << "\n";
       return true;
     }
@@ -800,19 +823,22 @@ private:
       }
       // Symbolic trace over the *installed* rules (no counters touched, no
       // controller involved): does a canonical src->dst packet reach dst?
-      of::PacketHeader hdr;
-      hdr.eth_src = net_->hosts()[*s].mac;
-      hdr.eth_dst = net_->hosts()[*d].mac;
-      hdr.eth_type = of::kEthTypeIpv4;
-      hdr.ip_src = net_->hosts()[*s].ip;
-      hdr.ip_dst = net_->hosts()[*d].ip;
-      hdr.ip_proto = of::kIpProtoTcp;
-      hdr.tp_src = 50000;
-      hdr.tp_dst = 80;
-      const auto tr =
-          invariant::InvariantChecker(*net_).trace(net_->hosts()[*s].attach, hdr);
+      const auto tr = invariant::InvariantChecker(*net_).trace(
+          net_->hosts()[*s].attach, pair_packet(*s, *d, 80).hdr);
       check.passed = tr.delivered_any == (what == "reachable");
       check.detail = tr.delivered_any ? "delivered" : "not delivered";
+    } else if (what == "availability") {
+      // expect availability <op> <percent>: share of offered packets served.
+      if (cmd.tokens.size() < 4) return fail(cmd, "expected <op> <percent>");
+      auto want = parse_double(cmd.tokens[3]);
+      if (!want) return fail(cmd, "bad percent");
+      const std::uint64_t offered = result_.offered;
+      if (offered == 0) return fail(cmd, "'expect availability' before any send/traffic");
+      const double actual = 100.0 * static_cast<double>(result_.served) / offered;
+      check.passed = compare(actual, cmd.tokens[2], *want);
+      std::ostringstream os;
+      os << "actual " << actual << "% (" << result_.served << "/" << offered << ")";
+      check.detail = os.str();
     } else {
       // numeric comparisons: expect <metric> [arg] <op> <n>
       std::size_t i = 2;

@@ -30,7 +30,9 @@
 //   policy <rule...>              # appended to the policy program
 //   app (hub|flooder|learning-switch [idle=<secs>]|router|discovery
 //        |firewall [deny_tp=<p>]|load-balancer)
-//   wrap crashy [tp_dst=<p>] [event=<type>] [skip=<n>] [transient]
+//   wrap crashy [tp_dst=<p>] [event=<type>] [skip=<n>] [transient] [prob=<p>]
+//                                  # prob: seeded chance (0 < p <= 1) that a
+//                                  # matching event fires the bug
 //   wrap byzantine (blackhole|loop|dropall) [tp_dst=<p>] [event=<type>]
 //   wrap chatty <burst> [tp_dst=<p>]
 //   start
@@ -46,6 +48,9 @@
 //   upgrade                        # controller restart (legosdn keeps state)
 //   leader crash                   # unplanned leader crash: senior follower
 //                                  # reconciles in-flight txns and promotes
+//   repeat <n>                     # 1 <= n <= 10000; the lines up to 'end'
+//   ...                            # run n times (unrolled at parse time, line
+//   end                            # numbers kept; blocks do not nest)
 //   expect controller (up|down)
 //   expect app <index> (alive|down)
 //   expect (reachable|unreachable) <src_host> <dst_host>
@@ -53,6 +58,10 @@
 //   expect (delivered <host>|crashes|byzantine|tickets|recoveries|ignored
 //           |transformed|punts|violations|resumed|failovers)
 //          (==|!=|>=|<=|>|<) <n>
+//   expect availability (==|!=|>=|<=|>|<) <percent>
+//                                  # share of packets offered by send/traffic
+//                                  # since start whose destination host
+//                                  # received them (final probes excluded)
 //
 // State keywords are strict: anything other than up/down (alive/down for
 // apps) is a line-numbered error, never silently treated as "down".
@@ -106,6 +115,12 @@ struct RunResult {
   std::uint64_t netlog_committed = 0;
   std::uint64_t netlog_rolled_back = 0;
   std::vector<std::uint64_t> switch_digests;
+
+  // Packets the script offered with 'send'/'traffic' and how many of them
+  // reached their destination host ('expect availability'); the final-state
+  // probes are not counted.
+  std::uint64_t offered = 0;
+  std::uint64_t served = 0;
 
   bool reachable(std::size_t src, std::size_t dst) const {
     return reachability[src * n_hosts + dst] != 0;

@@ -353,6 +353,28 @@ TEST(FaultInjection, SkipFirstAndDeterminism) {
   EXPECT_TRUE(st.fire(e)); // deterministic: keeps firing
 }
 
+TEST(FaultInjection, ProbabilityPicksTheSameEventsEveryTime) {
+  CrashTrigger t;
+  t.on_type = ctl::EventType::kPacketIn;
+  t.probability = 0.5;
+  TriggerState first(t, 7);
+  TriggerState replay(t, 7);
+  std::size_t fired = 0;
+  for (std::uint16_t port = 1; port <= 200; ++port) {
+    of::PacketIn pin;
+    pin.packet.hdr.tp_src = port;
+    const ctl::Event e{pin};
+    const bool f = first.fire(e);
+    // The answer belongs to the event: asking again, or asking another
+    // state with the same seed, gives the same one.
+    EXPECT_EQ(first.fire(e), f) << port;
+    EXPECT_EQ(replay.fire(e), f) << port;
+    if (f) ++fired;
+  }
+  EXPECT_GT(fired, 60u);
+  EXPECT_LT(fired, 140u);
+}
+
 TEST(FaultInjection, TransientBugHealsAfterFirstFiring) {
   CrashTrigger t;
   t.on_type = ctl::EventType::kPacketIn;

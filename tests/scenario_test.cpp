@@ -1,6 +1,13 @@
-// Scenario DSL tests: parsing, execution, assertions, and the canonical
-// paper stories expressed as scripts.
+// Scenario DSL tests: parsing, execution, assertions, the canonical paper
+// stories expressed as scripts, and the gate that runs every committed
+// script under examples/scenarios/ as its own test case.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cctype>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "scenario/scenario.hpp"
 
@@ -390,7 +397,9 @@ expect controller up
   ASSERT_EQ(res.n_hosts, 3u);
   for (std::size_t s = 0; s < 3; ++s)
     for (std::size_t d = 0; d < 3; ++d)
-      if (s != d) EXPECT_TRUE(res.reachable(s, d)) << s << "->" << d;
+      if (s != d) {
+        EXPECT_TRUE(res.reachable(s, d)) << s << "->" << d;
+      }
 }
 
 TEST(Run, ResumedDeliveriesAreObservable) {
@@ -405,6 +414,194 @@ expect punts >= 1
   const RunResult res = run_script(script);
   EXPECT_TRUE(res.ok) << res.error << "\n" << res.transcript;
 }
+
+// --- repeat blocks ----------------------------------------------------------
+
+TEST(Parse, RepeatUnrollsKeepingLineNumbers) {
+  const char* script = R"(topology linear 2 1
+app hub
+start
+repeat 3
+send 0 1 80
+expect delivered 1 == 99
+end
+expect delivered 1 == 3
+)";
+  const RunResult res = run_script(script);
+  EXPECT_TRUE(res.error.empty()) << res.error;
+  ASSERT_EQ(res.checks.size(), 4u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(res.checks[i].line, 6u); // every copy keeps the body's line
+    EXPECT_FALSE(res.checks[i].passed);
+  }
+  EXPECT_EQ(res.checks[3].line, 8u);
+  EXPECT_TRUE(res.checks[3].passed) << res.transcript;
+
+  // A runtime error inside an unrolled body names the body line.
+  const RunResult bad = run_script(
+      "topology linear 2 1\napp hub\nstart\nrepeat 2\nsend 0 9\nend\n");
+  EXPECT_NE(bad.error.find("line 5"), std::string::npos) << bad.error;
+}
+
+TEST(Parse, RejectsNestedRepeat) {
+  auto sc = Scenario::parse("repeat 2\nrepeat 2\nend\nend\n");
+  ASSERT_FALSE(sc.ok());
+  EXPECT_NE(sc.error().message.find("line 2"), std::string::npos);
+  EXPECT_NE(sc.error().message.find("nested"), std::string::npos);
+}
+
+TEST(Parse, RejectsUnterminatedRepeatAndStrayEnd) {
+  auto sc = Scenario::parse("topology linear 2 1\nrepeat 2\nstart\n");
+  ASSERT_FALSE(sc.ok());
+  EXPECT_NE(sc.error().message.find("line 2"), std::string::npos);
+  EXPECT_NE(sc.error().message.find("without 'end'"), std::string::npos);
+
+  sc = Scenario::parse("topology linear 2 1\nend\n");
+  ASSERT_FALSE(sc.ok());
+  EXPECT_NE(sc.error().message.find("line 2"), std::string::npos);
+
+  for (const char* count : {"0", "10001", "x", ""}) {
+    sc = Scenario::parse(std::string("repeat ") + count + "\nend\n");
+    EXPECT_FALSE(sc.ok()) << "repeat '" << count << "'";
+  }
+}
+
+// --- availability -----------------------------------------------------------
+
+TEST(Run, AvailabilityCountsOfferedPacketsOnly) {
+  // h0 -> h1 floods (served), h1 -> h0 installs a rule (served), the poison
+  // kills the monolithic controller (lost), h0 -> h1 has no rule and punts
+  // into the dead controller (lost), h1 -> h0 rides its rule (served).
+  const char* script = R"(topology linear 2 1
+architecture monolithic
+app learning-switch
+wrap crashy tp_dst=666
+start
+send 0 1 80
+send 1 0 80
+send 0 1 666
+send 0 1 80
+send 1 0 80
+expect availability == 60
+expect availability > 59.9
+expect availability < 60.1
+)";
+  const RunResult res = run_script(script);
+  EXPECT_TRUE(res.ok) << res.error << "\n" << res.transcript;
+  // The final-state probes (one per ordered pair) ran but are not offered.
+  EXPECT_EQ(res.n_hosts, 2u);
+  EXPECT_EQ(res.offered, 5u);
+  EXPECT_EQ(res.served, 3u);
+
+  const RunResult early = run_script(
+      "topology linear 2 1\napp hub\nstart\nexpect availability == 100\n");
+  EXPECT_NE(early.error.find("before any send/traffic"), std::string::npos)
+      << early.error;
+}
+
+// --- probabilistic crash trigger -------------------------------------------
+
+TEST(Run, RejectsBadCrashProbability) {
+  for (const char* p : {"0", "1.5", "-0.1", "abc", ""}) {
+    const RunResult res = run_script(
+        (std::string("topology linear 2 1\napp hub\nwrap crashy prob=") + p + "\n")
+            .c_str());
+    EXPECT_FALSE(res.ok) << "prob=" << p;
+    EXPECT_NE(res.error.find("line 3"), std::string::npos) << res.error;
+    EXPECT_NE(res.error.find("bad prob"), std::string::npos) << res.error;
+  }
+}
+
+TEST(Run, SeededCrashProbabilityIsDeterministic) {
+  // Every packet-in is a new flow; a bug firing on 30% of them loses some
+  // packets but not all, and the same seed loses the same ones every run.
+  const char* script = R"(topology linear 2 1
+app learning-switch
+wrap crashy event=packet-in prob=0.3
+start
+traffic uniform 60
+expect controller up
+expect crashes >= 1
+expect availability > 0
+expect availability < 100
+)";
+  const RunResult a = run_script(script);
+  const RunResult b = run_script(script);
+  EXPECT_TRUE(a.ok) << a.error << "\n" << a.transcript;
+  EXPECT_EQ(a.transcript, b.transcript);
+  EXPECT_EQ(a.served, b.served);
+}
+
+// --- the scripts gate -------------------------------------------------------
+
+/// Why a committed script fails the gate, or "" if it passes. A script must
+/// parse, run without error, state at least one expectation, and meet all.
+std::string gate_verdict(std::string_view text) {
+  auto sc = Scenario::parse(text);
+  if (!sc.ok()) return "parse error: " + sc.error().to_string();
+  const RunResult res = sc.value().run();
+  if (!res.error.empty()) return "runtime error: " + res.error + "\n" + res.transcript;
+  if (res.checks.empty()) return "no 'expect' line: the script asserts nothing";
+  if (res.failed_checks() > 0)
+    return std::to_string(res.failed_checks()) + " failed expectation(s)\n" +
+           res.transcript;
+  return "";
+}
+
+/// Every *.scn under the scripts directory, relative to it, sorted.
+std::vector<std::string> committed_scripts() {
+  namespace fs = std::filesystem;
+  std::vector<std::string> out;
+  std::error_code ec;
+  for (fs::recursive_directory_iterator it(LEGOSDN_SCENARIO_DIR, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    if (it->is_regular_file() && it->path().extension() == ".scn")
+      out.push_back(fs::relative(it->path(), LEGOSDN_SCENARIO_DIR).generic_string());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(ScriptGate, RejectsScriptWithoutExpect) {
+  EXPECT_NE(gate_verdict("topology linear 2 1\napp hub\nstart\nsend 0 1\n")
+                .find("no 'expect'"),
+            std::string::npos);
+  EXPECT_NE(gate_verdict("topology linear 2 1\napp hub\nstart\nexpect crashes == 1\n")
+                .find("failed expectation"),
+            std::string::npos);
+  EXPECT_NE(gate_verdict("frobnicate\n").find("parse error"), std::string::npos);
+  EXPECT_EQ(gate_verdict("topology linear 2 1\napp hub\nstart\nexpect crashes == 0\n"),
+            "");
+}
+
+TEST(ScriptGate, FindsScriptsRecursively) {
+  const auto scripts = committed_scripts();
+  auto has = [&](const char* name) {
+    return std::find(scripts.begin(), scripts.end(), name) != scripts.end();
+  };
+  EXPECT_TRUE(has("crash_containment.scn"));
+  EXPECT_TRUE(has("claims/t1_legosdn.scn"));
+}
+
+class ScenarioScript : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ScenarioScript, Passes) {
+  std::ifstream in(std::filesystem::path(LEGOSDN_SCENARIO_DIR) / GetParam());
+  ASSERT_TRUE(in) << GetParam();
+  std::ostringstream text;
+  text << in.rdbuf();
+  const std::string why = gate_verdict(text.str());
+  EXPECT_TRUE(why.empty()) << GetParam() << ": " << why;
+}
+
+// Test names follow the path: claims/t1_legosdn.scn -> claims_t1_legosdn.
+INSTANTIATE_TEST_SUITE_P(Scripts, ScenarioScript, ::testing::ValuesIn(committed_scripts()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           std::string name = info.param.substr(0, info.param.rfind('.'));
+                           for (char& c : name)
+                             if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+                           return name;
+                         });
 
 } // namespace
 } // namespace legosdn::scenario

@@ -204,6 +204,23 @@ TEST(Wire10, FramesPastSixteenBitLengthAreRefusedNotWrapped) {
   EXPECT_FALSE(encode({1, po}).ok());
 }
 
+TEST(Wire10, PacketInSizePastSixteenBitTotalLenIsRefusedNotWrapped) {
+  PacketIn pin;
+  pin.dpid = DatapathId{1};
+  pin.packet.size_bytes = 65535;
+  auto largest = encode({1, pin});
+  ASSERT_TRUE(largest.ok()) << largest.error().to_string();
+  auto back = decode(largest.value(), DatapathId{1});
+  ASSERT_TRUE(back.ok()) << back.error().to_string();
+  EXPECT_EQ(back.value().get_if<PacketIn>()->packet.size_bytes, 65535u);
+
+  pin.packet.size_bytes = 65536; // would go out as total_len 0
+  auto over = encode({1, pin});
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.error().code, Error::Code::kUnsupported);
+  EXPECT_FALSE(encode_scoped({1, pin}).ok());
+}
+
 /// Canonicalize fields OF 1.0 genuinely cannot carry, so round-trip
 /// comparisons test exactly what the wire can represent.
 Message canonicalize(Message msg) {
